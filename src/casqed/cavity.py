@@ -62,7 +62,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, InfeasibleBalance, UnbalancedShifts
-from .dynamics import LiouvillianAction, NULLSPACE_DIM_LIMIT
+from .dynamics import LiouvillianAction
 from .linalg import TensorSpace, dagger, partial_trace
 from .reduced import ReducedParams
 
@@ -362,12 +362,12 @@ def _superoperator(h, d2_channels, cascade) -> sp.csr_matrix:
     return out
 
 
-#: eager dense materialization cap; larger (but <= 64) spaces stay sparse
-_DENSE_DIM_LIMIT = 36
-
-
-def _action_from_sparse(lsp, space: ModelSpace, rate_scale, stiff_rate, meta) -> LiouvillianAction:
+def _action_from_operators(h, d2_channels, cascade, space: ModelSpace, rate_scale,
+                           stiff_rate, meta) -> LiouvillianAction:
+    """Generator with its sparse superoperator and, for the steady-state
+    solver, the operators it was built from (``meta["operators"]``)."""
     dim = space.dim
+    lsp = _superoperator(h, d2_channels, cascade)
 
     def matvec(v):
         return lsp @ v
@@ -378,13 +378,12 @@ def _action_from_sparse(lsp, space: ModelSpace, rate_scale, stiff_rate, meta) ->
             raise DimensionMismatch(f"state shape {rho.shape}, expected ({dim}, {dim})")
         return (lsp @ rho.reshape(-1, order="F")).reshape((dim, dim), order="F")
 
-    dense = np.asarray(lsp.todense()) if dim <= _DENSE_DIM_LIMIT else None
     meta = dict(meta)
     meta["sparse_superop"] = lsp
+    meta["operators"] = (h, d2_channels, cascade)
     return LiouvillianAction(
         dim=dim,
         apply=apply,
-        superop=dense,
         matvec=matvec,
         rate_scale=rate_scale,
         stiff_rate=stiff_rate,
@@ -445,15 +444,14 @@ def build_effective_liouvillian(p: PhysicalParams, space: ModelSpace) -> Liouvil
         )
 
     d2, cascade = _cavity_channels(p, a_ops[0], a_ops[1])
-    lsp = _superoperator(h, d2, cascade)
     rate_scale = TWO_PI * 2.0 * max(p.kappa1, p.kappa2)
     stiff_rate = TWO_PI * (
         2.0 * max(p.kappa1, p.kappa2)
         + abs(delta_c) + abs(d.eta_r) + abs(d.eta_s)
         + 4.0 * max(abs(b) for b in d.beta_r + d.beta_s) * np.sqrt(n)
     )
-    return _action_from_sparse(
-        lsp, space, rate_scale, stiff_rate, {"tier": "effective", "space": space}
+    return _action_from_operators(
+        h, d2, cascade, space, rate_scale, stiff_rate, {"tier": "effective", "space": space}
     )
 
 
@@ -516,7 +514,6 @@ def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianA
             h = h + TWO_PI * delta_c * (a.conj().T @ a).tocsr()
 
     d2_cav, cascade = _cavity_channels(p, a_ops[0], a_ops[1])
-    lsp = _superoperator(h, d2_cav + d2, cascade)
     rate_scale = TWO_PI * (
         2.0 * max(p.kappa1, p.kappa2) + max(p.gamma_r, p.gamma_s, p.gamma_t)
     )
@@ -525,8 +522,8 @@ def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianA
         2.0 * max(abs(p.Delta_r), abs(p.Delta_s), abs(p.Delta_t))
         + 2.0 * abs(delta_1) + om_max + 2.0 * max(p.g_r, p.g_s) * np.sqrt(n)
     )
-    return _action_from_sparse(
-        lsp, space, rate_scale, stiff_rate, {"tier": "full", "space": space}
+    return _action_from_operators(
+        h, d2_cav + d2, cascade, space, rate_scale, stiff_rate, {"tier": "full", "space": space}
     )
 
 

@@ -16,9 +16,13 @@ and the steady state remain accurate, because every eigenmode of the
 generator is propagated independently.  Builders advertise their fast
 scale via ``stiff_rate`` and the integrator caps the step accordingly.
 
-Steady states come from the superoperator null space when the space is
-small enough to materialize (dim <= 64) and from long-time relaxation
-otherwise.
+Steady states of generators that carry their operators (the cavity
+tiers) are solved directly at any dimension: GMRES on the trace-bordered
+generator, right-preconditioned by the inverse of the shifted no-jump
+part, which is a Sylvester equation solved by Bartels-Stewart on one
+Schur form.  Other generators (the reduced tier) are materialized and
+diagonalized densely, which needs dim <= 64.  Long-time relaxation
+remains as an independent check.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .errors import (
     DimensionMismatch,
     IntegrationError,
 )
-from .linalg import dagger, unvec, vec_stack
+from .linalg import dagger, unvec
 
 #: dense superoperators are only materialized up to this state dimension
 NULLSPACE_DIM_LIMIT = 64
@@ -50,12 +54,12 @@ _STAB_MARGIN = 2.5
 class LiouvillianAction:
     """A master-equation generator as a deterministic map rho -> drho/dt.
 
-    ``superop`` is the dense (dim^2 x dim^2) column-stacking
-    materialization, present when dim <= 64.  ``matvec`` is an
-    optional fast path acting on column-stacked vectors.  ``rate_scale``
-    is the characteristic damping rate used to scale residual
-    tolerances; ``stiff_rate`` bounds the fastest frequency in the
-    generator (0 for non-stiff models).
+    ``superop`` is an optional dense (dim^2 x dim^2) column-stacking
+    materialization.  ``matvec`` is an optional fast path acting on
+    column-stacked vectors.  ``rate_scale`` is the characteristic
+    damping rate used to scale residual tolerances; ``stiff_rate``
+    bounds the fastest frequency in the generator (0 for non-stiff
+    models).
     """
 
     dim: int
@@ -235,76 +239,170 @@ def integrate(
 # steady states
 # ---------------------------------------------------------------------------
 
-def _superop_matrix(liouvillian: LiouvillianAction):
-    """Dense or sparse superoperator for null-space work."""
-    spm = liouvillian.meta.get("sparse_superop")
-    if liouvillian.superop is not None and (spm is None or liouvillian.dim ** 2 <= 1024):
-        return liouvillian.superop, False
-    if spm is not None:
-        return spm, True
+def _dense_superop(liouvillian: LiouvillianAction) -> np.ndarray:
+    """The superoperator as a dense matrix, for dim <= NULLSPACE_DIM_LIMIT."""
     if liouvillian.dim > NULLSPACE_DIM_LIMIT:
         raise DimensionMismatch(
-            f"dim {liouvillian.dim} > {NULLSPACE_DIM_LIMIT}: use steady_state_longtime"
+            f"dim {liouvillian.dim} > {NULLSPACE_DIM_LIMIT}: superoperator not materializable"
         )
-    # materialize column by column from apply()
-    d = liouvillian.dim
-    cols = []
-    basis = np.zeros((d, d), dtype=complex)
-    for j in range(d * d):
-        basis.flat[:] = 0.0
-        basis[j % d, j // d] = 1.0  # column-stacking order
-        cols.append(liouvillian.apply(basis).reshape(-1, order="F"))
-    return np.stack(cols, axis=1), False
+    if liouvillian.superop is not None:
+        return np.asarray(liouvillian.superop)
+    spm = liouvillian.meta.get("sparse_superop")
+    if spm is None:
+        raise DimensionMismatch("generator carries no superoperator to diagonalize")
+    return spm.toarray()
 
 
 _SEP_TOL = 1e-10
+
+#: shift s of the Sylvester preconditioner (A - s)^-1, in units of rate_scale.
+#: Smaller shifts resolve the slow Raman dynamics better: at 0.1 GMRES
+#: stalls for weakly driven full-tier points; at 1e-3 it takes 15-30
+#: iterations on the fig. 3 grid.
+_SYLVESTER_SHIFT = 1e-3
+#: GMRES stops at ||b - B x|| <= rtol ||b||: _GMRES_RTOL for the state,
+#: _PROBE_RTOL for the probe, which only needs the size of its solution
+_GMRES_RTOL = 1e-13
+_PROBE_RTOL = 1e-6
+#: GMRES restart length and number of restart cycles
+_GMRES_RESTART = 100
+_GMRES_CYCLES = 2
+#: seed of the traceless right-hand side of the degeneracy probe
+_PROBE_SEED = 1972
+#: the probe's ||x|| / ||r|| beyond _PROBE_LIMIT / rate_scale means a second
+#: (near-)zero eigenvalue, as the 1e-10 separation rule of the dense path
+_PROBE_LIMIT = 1.0 / _SEP_TOL
+
+
+def no_jump_generator(h, d2_channels, cascade) -> np.ndarray:
+    """K with L(rho) = K rho + rho K+ + (jump terms), as a dense matrix.
+
+    The operators are those of ``meta["operators"]``: the Hamiltonian,
+    (rate, c) pairs entering as rate * (2 c rho c+ - {c+ c, rho}), and the
+    cascade (q, a1, a2) entering as -q (a2+ a1 rho + rho a1+ a2 - a1 rho a2+
+    - a2 rho a1+), so K = -iH - sum rate c+ c - q a2+ a1.
+    """
+    k = -1j * sp.csr_matrix(h)
+    for rate, c in d2_channels:
+        c = sp.csr_matrix(c)
+        k = k - rate * (c.conj().T @ c)
+    if cascade is not None:
+        q, a1, a2 = cascade
+        k = k - q * (sp.csr_matrix(a2).conj().T @ sp.csr_matrix(a1))
+    return k.toarray()
+
+
+def _sylvester_inverse(k: np.ndarray, s: float) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> vec(X) with (K - s/2) X + X (K - s/2)+ = unvec(v), i.e. (A - s)^-1.
+
+    Bartels-Stewart: one complex Schur form K - s/2 = U T U+, then a
+    triangular Sylvester solve (LAPACK ?trsyl) per application.  Every
+    eigenvalue of K has Re <= 0, so T and -T+ share none and the solve is
+    well posed for s > 0.
+    """
+    d = k.shape[0]
+    t, u = scipy.linalg.schur(k - 0.5 * s * np.eye(d), output="complex")
+    uh = u.conj().T
+    (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (t,))
+
+    def solve(v):
+        y = uh @ v.reshape((d, d), order="F") @ u
+        x, scale, _ = trsyl(t, t, y, trana="N", tranb="C")
+        return (u @ (x / scale) @ uh).reshape(-1, order="F")
+
+    return solve
+
+
+def _bordered_steady_state(liouvillian: LiouvillianAction) -> np.ndarray:
+    """Trace-one null vector from (L + w tr) rho = w, w = (rate_scale / d) I.
+
+    Tracing the system gives tr rho = 1 and then L rho = 0, so the bordered
+    operator B is regular exactly when the null space is one-dimensional.
+    GMRES solves it with the shifted Sylvester inverse of the no-jump part
+    as right preconditioner.  A singular B can still be consistent for w,
+    so a second solve against a fixed traceless right-hand side probes
+    the separation: its solution is L^-1 r on traceless matrices, and it
+    fails or grows past _PROBE_LIMIT / rate_scale when another eigenvalue
+    of L is (close to) zero.
+    """
+    d = liouvillian.dim
+    n = d * d
+    scale = liouvillian.rate_scale
+    diag = np.arange(d) * (d + 1)
+    weight = scale / d
+    rhs = liouvillian.rhs_flat()
+    precond = _sylvester_inverse(
+        no_jump_generator(*liouvillian.meta["operators"]), _SYLVESTER_SHIFT * scale
+    )
+
+    def bordered(y):
+        x = precond(y)
+        out = rhs(x)
+        out[diag] += weight * x[diag].sum()
+        return out
+
+    op = spla.LinearOperator((n, n), matvec=bordered, dtype=complex)
+
+    def solve(b, rtol):
+        y, info = spla.gmres(op, b, rtol=rtol, atol=0.0,
+                             restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES)
+        return precond(y), info
+
+    w = np.zeros(n, dtype=complex)
+    w[diag] = weight
+    rho, info = solve(w, _GMRES_RTOL)
+    if info != 0:
+        raise ConvergenceError(
+            f"GMRES did not reach the steady state in {_GMRES_RESTART * _GMRES_CYCLES} iterations"
+        )
+
+    rng = np.random.default_rng(_PROBE_SEED)
+    r = rng.normal(size=n) + 1j * rng.normal(size=n)
+    r[diag] -= r[diag].mean()
+    r /= np.linalg.norm(r)
+    x, info = solve(r, _PROBE_RTOL)
+    growth = float(np.linalg.norm(x)) * scale
+    if info != 0 or growth > _PROBE_LIMIT:
+        raise DegenerateSteadyState(
+            "zero eigenvalue is degenerate or not separated from the spectrum "
+            f"(probe ||L^-1 r|| rate_scale / ||r|| = {growth:.1e}"
+            + (", no convergence)" if info else ")")
+        )
+    return unvec(rho)
+
+
+def _dense_null_vector(liouvillian: LiouvillianAction) -> np.ndarray:
+    w, v = scipy.linalg.eig(_dense_superop(liouvillian))
+    scale = float(np.abs(w).max())
+    order = np.argsort(np.abs(w))
+    if np.abs(w[order[1]]) <= _SEP_TOL * scale:
+        raise DegenerateSteadyState(
+            "zero eigenvalue is degenerate or not separated from the spectrum"
+        )
+    return unvec(v[:, order[0]])
 
 
 def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
     """Unique trace-one state in the generator's null space.
 
-    Requires dim <= 64.  Raises :class:`DegenerateSteadyState` if the
-    null space is not one-dimensional or the zero eigenvalue is not
-    separated from the rest of the spectrum by 1e-10 ||L||.
+    Generators that carry their operators (``meta["operators"]``, the
+    cavity tiers) are solved at any dimension by Sylvester-preconditioned
+    GMRES on the trace-bordered generator; see
+    :func:`_bordered_steady_state`.  Any other generator needs dim <= 64:
+    its superoperator is materialized and diagonalized densely, and the
+    zero eigenvalue must be separated from the rest of the spectrum by
+    1e-10 max|lambda|.  Either way a degenerate or unseparated null space
+    raises :class:`DegenerateSteadyState`.
     """
-    if liouvillian.dim > NULLSPACE_DIM_LIMIT:
-        raise DimensionMismatch(
-            f"dim {liouvillian.dim} > {NULLSPACE_DIM_LIMIT}: use steady_state_longtime"
-        )
-    mat, is_sparse = _superop_matrix(liouvillian)
-    n2 = liouvillian.dim ** 2
-
-    if not is_sparse and n2 <= 1024:
-        w, v = scipy.linalg.eig(np.asarray(mat))
-        scale = float(np.abs(w).max())
-        order = np.argsort(np.abs(w))
-        if np.abs(w[order[1]]) <= _SEP_TOL * scale:
-            raise DegenerateSteadyState(
-                "zero eigenvalue is degenerate or not separated from the spectrum"
-            )
-        null_vec = v[:, order[0]]
+    if "operators" in liouvillian.meta:
+        rho = _bordered_steady_state(liouvillian)
     else:
-        spm = sp.csc_matrix(mat)
-        scale = float(spla.norm(spm))
-        v0 = np.full(n2, 1.0 / np.sqrt(n2), dtype=complex)
-        # small real shift keeps the shift-invert factorization nonsingular
-        w, v = spla.eigs(spm, k=2, sigma=1e-8 * scale, which="LM", v0=v0, tol=1e-12)
-        order = np.argsort(np.abs(w))
-        if np.abs(w[order[1]]) <= _SEP_TOL * scale:
-            raise DegenerateSteadyState(
-                "zero eigenvalue is degenerate or not separated from the spectrum"
-            )
-        null_vec = v[:, order[0]]
-
-    rho = unvec(null_vec)
+        rho = _dense_null_vector(liouvillian)
     rho = (rho + dagger(rho)) / 2.0
     tr = np.real(np.trace(rho))
     if abs(tr) < 1e-12:
         raise DegenerateSteadyState("null vector is traceless; no stationary state found")
-    rho = rho / tr
-    if np.abs(rho - dagger(rho)).max() > 1e-10:
-        raise DegenerateSteadyState("stationary state failed the hermiticity check")
-    return rho
+    return rho / tr
 
 
 def steady_state_longtime(
@@ -361,14 +459,7 @@ def spectral_gap(liouvillian: LiouvillianAction) -> float:
     Its inverse is the slowest relaxation time.  Requires a
     materializable superoperator; raises on a degenerate zero mode.
     """
-    if liouvillian.dim > NULLSPACE_DIM_LIMIT:
-        raise DimensionMismatch(
-            f"dim {liouvillian.dim} > {NULLSPACE_DIM_LIMIT}: spectrum not materializable"
-        )
-    mat, is_sparse = _superop_matrix(liouvillian)
-    if is_sparse:
-        mat = np.asarray(mat.todense())
-    w = np.linalg.eigvals(np.asarray(mat))
+    w = np.linalg.eigvals(_dense_superop(liouvillian))
     scale = float(np.abs(w).max())
     zero = np.abs(w) <= _SEP_TOL * scale
     if int(zero.sum()) != 1:

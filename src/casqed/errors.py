@@ -39,8 +39,9 @@ class IntegrationError(CasqedError, RuntimeError):
 
 
 class ConvergenceError(CasqedError, RuntimeError):
-    """Long-time relaxation did not reach the requested residual within
-    the allotted model time (expect critical slowing as a/b -> 1)."""
+    """An iterative solver did not reach its target: long-time relaxation
+    within the allotted model time (expect critical slowing as a/b -> 1),
+    or GMRES within its iteration budget."""
 
 
 class InvalidDensityMatrix(CasqedError, ValueError):

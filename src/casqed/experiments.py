@@ -13,9 +13,10 @@ Model tiers
 ``effective`` two-level atoms + cavity modes;
 ``full``      five-level atoms + cavity modes + spontaneous emission.
 
-The full tier is integrated at its stability limit (detunings of order
-2 pi x 8 GHz against microsecond relaxation), so full-tier runs are
-minutes-long; see the README performance notes.
+Steady states of the cavity tiers come from a direct solve at each Fock
+cutoff (see :func:`converged_steady_state`).  Time evolution of the full
+tier runs at its stability limit (detunings of order 2 pi x 8 GHz against
+microsecond relaxation), so full-tier ``evolve`` runs are slow.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .cavity import (
     PhysicalParams,
     build_effective_liouvillian,
     build_full_liouvillian,
-    lift_qubit_state,
     output_flux_operator,
     qubit_marginal,
     reduced_params,
@@ -42,7 +42,7 @@ from .cavity import (
     vacuum_ground_state,
 )
 from .config import ExperimentConfig
-from .dynamics import NULLSPACE_DIM_LIMIT, integrate, steady_state_longtime, steady_state_nullspace
+from .dynamics import integrate, steady_state_nullspace
 from .errors import CasqedError, ConfigError
 from .linalg import read_dm
 from .metrics import METRIC_COLUMNS, concurrence, fef_fidelity, output_flux, purity, vn_entropy
@@ -195,41 +195,19 @@ def converged_steady_state(p: PhysicalParams, tier: str, cfg: ExperimentConfig,
     """Steady state with automatic Fock-cutoff escalation.
 
     Raises the cutoff (up to ``max_cutoff``) until the top retained
-    photon state holds no more than ``top_tol`` population.  Returns
-    (rho, space, cutoff).
+    photon state holds no more than ``top_tol`` population.  Every
+    cutoff is solved directly by :func:`steady_state_nullspace`.
+    Returns (rho, space, cutoff).
     """
     builder = build_effective_liouvillian if tier == "effective" else build_full_liouvillian
     levels = 2 if tier == "effective" else 5
     cutoff = cfg.fock_cutoff if start_cutoff is None else start_cutoff
-    rel, abs_ = _tier_tols(cfg, tier)
     while True:
         space = ModelSpace(levels, cutoff)
-        action = builder(p, space)
-        if space.dim <= NULLSPACE_DIM_LIMIT:
-            rho = steady_state_nullspace(action)
-        else:
-            rho0 = _lifted_guess(p, space)
-            res = steady_state_longtime(
-                action, rho0, tol=cfg.ss_tol, max_time=cfg.max_time_us,
-                rel_tol=rel, abs_tol=abs_,
-            )
-            rho = res.rho
+        rho = steady_state_nullspace(builder(p, space))
         if top_fock_population(rho, space) <= top_tol or cutoff >= max_cutoff:
             return rho, space, cutoff
         cutoff += 1
-
-
-def _lifted_guess(p: PhysicalParams, space: ModelSpace) -> np.ndarray:
-    """Initial state for long-time relaxation: the two-qubit steady state
-    lifted into the model space (falls back to the ground state)."""
-    try:
-        rp = reduced_params(p)
-        m = MatchedDrive(
-            rp.beta_r1 / np.sqrt(rp.kappa1), rp.beta_s1 / np.sqrt(rp.kappa1), rp.epsilon
-        )
-        return lift_qubit_state(analytic_steady_state(m), space)
-    except CasqedError:
-        return vacuum_ground_state(space)
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +326,8 @@ def _coop_point(args):
             m = MatchedDrive(rp.beta_r1 / np.sqrt(rp.kappa1), rp.beta_s1 / np.sqrt(rp.kappa1),
                              rp.epsilon)
             return g, float(fef_fidelity(analytic_steady_state(m))), None
-        if tier == "effective":
-            rho, space, _ = converged_steady_state(p, tier, cfg)
-            return g, float(fef_fidelity(qubit_marginal(rho, space))), None
-        space = ModelSpace(5, cfg.fock_cutoff)
-        action = build_full_liouvillian(p, space)
-        rel, abs_ = _tier_tols(cfg, tier)
-        res = steady_state_longtime(
-            action, _lifted_guess(p, space), tol=cfg.ss_tol,
-            max_time=cfg.max_time_us, rel_tol=rel, abs_tol=abs_,
-        )
-        return g, float(fef_fidelity(qubit_marginal(res.rho, space))), None
+        rho, space, _ = converged_steady_state(p, tier, cfg)
+        return g, float(fef_fidelity(qubit_marginal(rho, space))), None
     except CasqedError as exc:
         return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from casqed.cavity import (
@@ -17,8 +19,18 @@ from casqed.cavity import (
     top_fock_population,
     vacuum_ground_state,
 )
-from casqed.dynamics import integrate, steady_state_longtime, steady_state_nullspace
-from casqed.errors import DimensionMismatch, InfeasibleBalance, UnbalancedShifts
+from casqed.dynamics import (
+    integrate,
+    no_jump_generator,
+    steady_state_longtime,
+    steady_state_nullspace,
+)
+from casqed.errors import (
+    DegenerateSteadyState,
+    DimensionMismatch,
+    InfeasibleBalance,
+    UnbalancedShifts,
+)
 from casqed.linalg import dagger
 from casqed.metrics import fef_fidelity
 from casqed.reduced import MatchedDrive, analytic_steady_state
@@ -65,6 +77,35 @@ def _pad_fock(rho, small, big):
     extra = big.nph - small.nph
     widths = [(0, 0), (0, 0), (0, extra), (0, extra)] * 2
     return np.pad(rho.reshape(dims + dims), widths).reshape(big.dim, big.dim)
+
+
+def _bordered_spsolve(act):
+    # independent steady state: sparse LU of the generator with its first
+    # row (a diagonal entry, implied by the other diagonal rows since
+    # tr L rho = 0) replaced by the trace row
+    d = act.dim
+    lsp = sp.csr_matrix(act.meta["sparse_superop"])
+    trace_row = sp.csr_matrix(
+        (np.ones(d, dtype=complex), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))),
+        shape=(1, d * d),
+    )
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    x = spla.spsolve(sp.vstack([trace_row, lsp[1:]]).tocsc(), rhs)
+    rho = x.reshape((d, d), order="F")
+    return (rho + dagger(rho)) / 2.0
+
+
+def _jump_part(rho, d2_channels, cascade):
+    # J(rho) = sum 2 r c rho c+ + q (a1 rho a2+ + a2 rho a1+), the part of
+    # the generator that Kr + rK+ leaves out
+    out = np.zeros_like(rho)
+    for rate, c in d2_channels:
+        c = c.toarray()
+        out += 2.0 * rate * c @ rho @ dagger(c)
+    q, a1, a2 = cascade
+    a1, a2 = a1.toarray(), a2.toarray()
+    return out + q * (a1 @ rho @ dagger(a2) + a2 @ rho @ dagger(a1))
 
 
 class TestDeriveParams:
@@ -275,6 +316,43 @@ class TestEffectiveModel:
         eta_over_kappa = (300.0**2 / 8000.0) / 14.2
         assert eta_over_kappa > 0.5
         assert fids["compensated"] > fids["raman_resonant"]
+
+
+class TestDirectSteadyState:
+    @pytest.mark.parametrize("levels,cutoff", [(2, 1), (2, 2), (5, 1)])
+    def test_no_jump_split_reproduces_generator(self, levels, cutoff):
+        # the solver's K must be the no-jump part of the generator, with
+        # the cascade sign of the superoperator: K r + r K+ + J(r) = L r
+        rng = np.random.default_rng(64)
+        space = ModelSpace(levels, cutoff)
+        build = build_effective_liouvillian if levels == 2 else build_full_liouvillian
+        act = build(fig3_like() if levels == 2 else scaled_params(gamma=3.0), space)
+        ops = act.meta["operators"]
+        k = no_jump_generator(*ops)
+        for _ in range(3):
+            rho = rand_herm_state(rng, space.dim)
+            split = k @ rho + rho @ dagger(k) + _jump_part(rho, *ops[1:])
+            ref = act.apply(rho)
+            assert np.abs(split - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_matches_bordered_sparse_lu(self, cutoff):
+        space = ModelSpace(2, cutoff)
+        act = build_effective_liouvillian(fig3_like(), space)
+        rho = steady_state_nullspace(act)
+        residual = np.linalg.norm(act.apply(rho))
+        assert residual <= 1e-12 * act.rate_scale
+        ref = _bordered_spsolve(act)
+        fid = fef_fidelity(qubit_marginal(rho, space))
+        assert abs(fid - fef_fidelity(qubit_marginal(ref, space))) <= 1e-10
+
+    @pytest.mark.parametrize("cutoff", [2, 4])
+    def test_matched_drive_is_degenerate(self, cutoff):
+        # a/b = 1: the steady state is not unique at any cutoff.  Above
+        # dim 64 this used to relax to some state without complaint.
+        act = build_effective_liouvillian(fig3_like(a_over_b=1.0), ModelSpace(2, cutoff))
+        with pytest.raises(DegenerateSteadyState):
+            steady_state_nullspace(act)
 
 
 class TestFullModel:

@@ -1,0 +1,87 @@
+import json
+
+import numpy as np
+
+from casqed.cavity import (
+    ModelSpace,
+    PhysicalParams,
+    build_full_liouvillian,
+    qubit_marginal,
+    stark_balance,
+    top_fock_population,
+)
+from casqed.config import parse_config_text, validate_config
+from casqed.dynamics import steady_state_nullspace
+from casqed.experiments import converged_steady_state, physical_params, run_sweep_coop
+from casqed.metrics import fef_fidelity
+
+FIG3 = """\
+model.tier = effective
+model.fock_cutoff = 2
+physical.g_2pi_MHz = 110
+physical.kappa1_2pi_MHz = 14.2
+physical.gamma_2pi_MHz = 5.2
+physical.Delta_2pi_MHz = 8000
+physical.Omega_s_2pi_MHz = 100
+physical.a_over_b = 2
+physical.epsilon = 0.98
+"""
+
+# weakly driven full tier (beta / kappa ~ 1e-4): cutoff 1 already holds
+# less than 1e-6 in its top photon state, so the point costs one solve
+WEAK_FULL = """\
+model.tier = full
+model.fock_cutoff = 1
+physical.g_2pi_MHz = 30
+physical.kappa1_2pi_MHz = 50
+physical.gamma_2pi_MHz = 3
+physical.Delta_2pi_MHz = 2000
+physical.Omega_s_2pi_MHz = 1
+physical.a_over_b = 2
+physical.epsilon = 0.98
+sweep.Y = 20
+"""
+
+
+def config(text):
+    return validate_config(parse_config_text(text), text=text)
+
+
+class TestConvergedSteadyState:
+    def test_escalates_to_cutoff_4_at_sparse_lu_value(self):
+        # the cutoff-4 point of the effective benchmark sweep; the reference
+        # is a bordered sparse-LU solve at cutoff 4
+        cfg = config(FIG3)
+        p = physical_params(cfg, a_over_b=4.0, epsilon=0.7)
+        rho, space, cutoff = converged_steady_state(p, "effective", cfg)
+        assert cutoff == 4
+        assert top_fock_population(rho, space) <= 1e-6
+        assert abs(fef_fidelity(qubit_marginal(rho, space)) - 0.6237466624) <= 1e-9
+
+
+class TestSweepCoop:
+    def test_full_tier_point_is_a_direct_steady_state(self, tmp_path):
+        cfg = config(WEAK_FULL)
+        csv = run_sweep_coop(cfg, tmp_path)
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "a_over_b,epsilon,Y,g_2pi_MHz,fidelity"
+        ratio, eps, Y, g, fid = (float(x) for x in lines[1].split(","))
+        assert lines[2].startswith("#")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [pt["converged"] for pt in manifest["points"]] == [True]
+
+        # rebuild the point: g from Y = g^2 / (kappa gamma), drives rescaled
+        # so that beta = g Omega / (2 Delta) stays at its configured value
+        assert abs(g - np.sqrt(20.0 * 50.0 * 3.0)) <= 1e-12
+        omega_s = 1.0 * 30.0 / g
+        p = stark_balance(PhysicalParams.symmetric(
+            g=g, kappa=50.0, gamma=3.0, Delta=2000.0,
+            Omega_r=2.0 * omega_s, Omega_s=omega_s, epsilon=0.98,
+        ))
+        space = ModelSpace(5, 1)
+        act = build_full_liouvillian(p, space)
+        rho = steady_state_nullspace(act)
+        assert np.linalg.norm(act.apply(rho)) <= 1e-12 * act.rate_scale
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        assert top_fock_population(rho, space) <= 1e-6
+        assert abs(fid - fef_fidelity(qubit_marginal(rho, space))) <= 1e-12
