@@ -61,8 +61,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, InfeasibleBalance, UnbalancedShifts
-from .dynamics import LiouvillianAction
+from .errors import DimensionMismatch, InfeasibleBalance, InvalidParams, UnbalancedShifts
+from .dynamics import LiouvillianAction, liouvillian_from_operators
 from .linalg import TensorSpace, dagger, partial_trace
 from .reduced import ReducedParams
 
@@ -107,13 +107,13 @@ class PhysicalParams:
 
     def __post_init__(self):
         if not (self.kappa1 > 0 and self.kappa2 > 0):
-            raise ValueError("cavity decay rates must be positive")
+            raise InvalidParams("cavity decay rates must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+            raise InvalidParams(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if self.Delta_r == 0 or self.Delta_s == 0 or self.Delta_t == 0:
-            raise ValueError("detunings must be nonzero")
+            raise InvalidParams("detunings must be nonzero")
         if min(self.gamma_r, self.gamma_s, self.gamma_t) < 0:
-            raise ValueError("linewidths must be non-negative")
+            raise InvalidParams("linewidths must be non-negative")
         small = min(abs(self.Delta_r), abs(self.Delta_s), abs(self.Delta_t))
         big = max(
             abs(self.Omega_r1), abs(self.Omega_s1), abs(self.Omega_t1),
@@ -327,70 +327,6 @@ def _sp_embed(op, site: int, dims) -> sp.csr_matrix:
     return out
 
 
-def _superoperator(h, d2_channels, cascade) -> sp.csr_matrix:
-    """Column-stacking superoperator for -i[H, .] + factor-2 dissipators.
-
-    ``d2_channels`` is a list of (rate, c) entering as rate * D[c];
-    ``cascade`` is (q, a1, a2) entering as
-    -q (a2+ a1 rho + rho a1+ a2 - a1 rho a2+ - a2 rho a1+).
-    """
-    dim = h.shape[0]
-    eye = sp.identity(dim, format="csr", dtype=complex)
-    h = sp.csr_matrix(h)
-    out = -1j * (sp.kron(eye, h, format="csr") - sp.kron(h.T, eye, format="csr"))
-    for rate, c in d2_channels:
-        c = sp.csr_matrix(c)
-        cd = c.conj().T
-        cdc = (cd @ c).tocsr()
-        out = out + rate * (
-            2.0 * sp.kron(c.conj(), c, format="csr")
-            - sp.kron(eye, cdc, format="csr")
-            - sp.kron(cdc.T, eye, format="csr")
-        )
-    if cascade is not None:
-        q, a1, a2 = cascade
-        a1 = sp.csr_matrix(a1)
-        a2 = sp.csr_matrix(a2)
-        out = out - q * (
-            sp.kron(eye, (a2.conj().T @ a1).tocsr(), format="csr")
-            + sp.kron((a1.conj().T @ a2).T.tocsr(), eye, format="csr")
-            - sp.kron(a2.conj(), a1, format="csr")
-            - sp.kron(a1.conj(), a2, format="csr")
-        )
-    out = out.tocsr()
-    out.sum_duplicates()
-    return out
-
-
-def _action_from_operators(h, d2_channels, cascade, space: ModelSpace, rate_scale,
-                           stiff_rate, meta) -> LiouvillianAction:
-    """Generator with its sparse superoperator and, for the steady-state
-    solver, the operators it was built from (``meta["operators"]``)."""
-    dim = space.dim
-    lsp = _superoperator(h, d2_channels, cascade)
-
-    def matvec(v):
-        return lsp @ v
-
-    def apply(rho):
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (dim, dim):
-            raise DimensionMismatch(f"state shape {rho.shape}, expected ({dim}, {dim})")
-        return (lsp @ rho.reshape(-1, order="F")).reshape((dim, dim), order="F")
-
-    meta = dict(meta)
-    meta["sparse_superop"] = lsp
-    meta["operators"] = (h, d2_channels, cascade)
-    return LiouvillianAction(
-        dim=dim,
-        apply=apply,
-        matvec=matvec,
-        rate_scale=rate_scale,
-        stiff_rate=stiff_rate,
-        meta=meta,
-    )
-
-
 def _cavity_channels(p: PhysicalParams, a1, a2):
     d2 = [(TWO_PI * p.kappa1, a1), (TWO_PI * p.kappa2, a2)]
     cascade = (2.0 * TWO_PI * np.sqrt(p.epsilon * p.kappa1 * p.kappa2), a1, a2)
@@ -450,8 +386,8 @@ def build_effective_liouvillian(p: PhysicalParams, space: ModelSpace) -> Liouvil
         + abs(delta_c) + abs(d.eta_r) + abs(d.eta_s)
         + 4.0 * max(abs(b) for b in d.beta_r + d.beta_s) * np.sqrt(n)
     )
-    return _action_from_operators(
-        h, d2, cascade, space, rate_scale, stiff_rate, {"tier": "effective", "space": space}
+    return liouvillian_from_operators(
+        h, d2, cascade, rate_scale, stiff_rate, {"tier": "effective", "space": space}
     )
 
 
@@ -522,8 +458,8 @@ def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianA
         2.0 * max(abs(p.Delta_r), abs(p.Delta_s), abs(p.Delta_t))
         + 2.0 * abs(delta_1) + om_max + 2.0 * max(p.g_r, p.g_s) * np.sqrt(n)
     )
-    return _action_from_operators(
-        h, d2_cav + d2, cascade, space, rate_scale, stiff_rate, {"tier": "full", "space": space}
+    return liouvillian_from_operators(
+        h, d2_cav + d2, cascade, rate_scale, stiff_rate, {"tier": "full", "space": space}
     )
 
 

@@ -17,7 +17,15 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import CasqedError, ConfigError
-from .experiments import run_metrics, run_steady, run_sweep_coop, run_sweep_eps, run_timeseries
+from .experiments import (
+    TIER_TOLS,
+    check_params,
+    run_metrics,
+    run_steady,
+    run_sweep_coop,
+    run_sweep_eps,
+    run_timeseries,
+)
 
 _DEFAULTS_HELP = """\
 config file grammar: one `key = value` per line, `#` comments, dotted keys.
@@ -36,7 +44,7 @@ keys and defaults:
   physical.gamma_2pi_MHz physical.Delta_2pi_MHz physical.Omega_s_2pi_MHz
   physical.a_over_b physical.epsilon [physical.omega_1_2pi_MHz = 100]
   time.t_max_us = 10   time.n_points = 101
-  solver.rel_tol solver.abs_tol      default per tier (see README)
+  solver.rel_tol solver.abs_tol      default per tier: {tier_tols}
   solver.ss_tol = 1e-8  solver.max_time_us   accepted; unused since steady states are solved directly
   sweep.a_over_b = 1.1:4.0:0.1  sweep.epsilon = 0.7:1.0:0.01  sweep.Y = log:1:300:30
 """
@@ -46,7 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casqed",
         description="cascaded-cavity two-atom entanglement: time series, sweeps, metrics",
-        epilog=_DEFAULTS_HELP,
+        epilog=_DEFAULTS_HELP.format(tier_tols=", ".join(
+            f"{tier} {rel:g}/{abs_:g}" for tier, (rel, abs_) in TIER_TOLS.items()
+        )),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -79,6 +89,7 @@ def main(argv=None) -> int:
                 f"config declares experiment={cfg.experiment!r}, invoked {args.command!r}",
                 key="experiment",
             )
+        check_params(cfg)
         if args.command == "steady":
             run_steady(cfg)
             return 0

@@ -119,16 +119,17 @@ class ExperimentConfig:
         return self.physical
 
 
+#: physical.* key -> field name; every value is a float
 _PHYSICAL_KEYS = {
-    "g_2pi_MHz": ("g", float),
-    "kappa1_2pi_MHz": ("kappa1", float),
-    "kappa2_2pi_MHz": ("kappa2", float),
-    "gamma_2pi_MHz": ("gamma", float),
-    "Delta_2pi_MHz": ("Delta", float),
-    "Omega_s_2pi_MHz": ("Omega_s", float),
-    "a_over_b": ("a_over_b", float),
-    "epsilon": ("epsilon", float),
-    "omega_1_2pi_MHz": ("omega_1", float),
+    "g_2pi_MHz": "g",
+    "kappa1_2pi_MHz": "kappa1",
+    "kappa2_2pi_MHz": "kappa2",
+    "gamma_2pi_MHz": "gamma",
+    "Delta_2pi_MHz": "Delta",
+    "Omega_s_2pi_MHz": "Omega_s",
+    "a_over_b": "a_over_b",
+    "epsilon": "epsilon",
+    "omega_1_2pi_MHz": "omega_1",
 }
 
 _PHYSICAL_REQUIRED = ("g", "kappa1", "gamma", "Delta", "Omega_s", "a_over_b", "epsilon")
@@ -175,26 +176,24 @@ def validate_config(raw: dict, text: str = "") -> ExperimentConfig:
         raise ConfigError("model.fock_cutoff must be >= 1", key="model.fock_cutoff")
 
     # matched drive block
-    a_over_b = _get(raw, "drive.a_over_b", None)
-    b = complex(_get(raw, "drive.b", 1.0))
-    a = complex(_get(raw, "drive.a", a_over_b * b if a_over_b is not None else 2.0 * b))
-    epsilon = _get(raw, "drive.epsilon", None)
-    cross = bool(_get(raw, "drive.cross", False))
+    a_over_b = _get(raw, "drive.a_over_b", None, complex)
+    b = _get(raw, "drive.b", 1.0 + 0j, complex)
+    a = _get(raw, "drive.a", a_over_b * b if a_over_b is not None else 2.0 * b, complex)
+    epsilon = _get(raw, "drive.epsilon", None, float)
+    cross = _get(raw, "drive.cross", False, bool)
     drive_kappa1 = _get(raw, "drive.kappa1", 1.0, float)
     drive_kappa2 = _get(raw, "drive.kappa2", 1.0, float)
 
     # physical block
     physical = {}
-    for raw_key, (name, cast) in _PHYSICAL_KEYS.items():
-        key = f"physical.{raw_key}"
-        if key in raw:
-            physical[name] = cast(raw.pop(key))
+    for raw_key, name in _PHYSICAL_KEYS.items():
+        val = _get(raw, f"physical.{raw_key}", None, float)
+        if val is not None:
+            physical[name] = val
     if physical:
-        for name in _PHYSICAL_REQUIRED:
-            if name not in physical:
-                for raw_key, (nm, _) in _PHYSICAL_KEYS.items():
-                    if nm == name:
-                        raise ConfigError(f"missing key physical.{raw_key}", key=raw_key)
+        for raw_key, name in _PHYSICAL_KEYS.items():
+            if name in _PHYSICAL_REQUIRED and name not in physical:
+                raise ConfigError(f"missing key physical.{raw_key}", key=f"physical.{raw_key}")
         if "kappa2" not in physical:
             physical["kappa2"] = physical["kappa1"]
         for name, default in _PHYSICAL_DEFAULTS.items():
@@ -204,13 +203,6 @@ def validate_config(raw: dict, text: str = "") -> ExperimentConfig:
 
     if epsilon is None:
         epsilon = physical["epsilon"] if physical else 1.0
-    epsilon = float(epsilon)
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError(f"epsilon out of [0, 1]: {epsilon}", key="drive.epsilon")
-    if physical is not None and not 0.0 <= physical["epsilon"] <= 1.0:
-        raise ConfigError(
-            f"epsilon out of [0, 1]: {physical['epsilon']}", key="physical.epsilon"
-        )
     if physical is not None and a_over_b is None and "a_over_b" in physical:
         a = complex(physical["a_over_b"]) * b
 

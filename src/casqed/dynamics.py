@@ -1,5 +1,11 @@
 """Time evolution, steady-state solvers and spectral analysis.
 
+Every tier states its generator as operators: a Hamiltonian, factor-2
+dissipator channels and one cascade term (see
+:func:`liouvillian_from_operators`).  They are assembled once into a
+sparse column-stacking superoperator, which is the generator's only
+matrix view.
+
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair acting
 on the column-stacked state.  Hermiticity is restored after every
 accepted step (rho <- (rho + rho+)/2); the trace is conserved exactly
@@ -16,13 +22,11 @@ and the steady state remain accurate, because every eigenmode of the
 generator is propagated independently.  Builders advertise their fast
 scale via ``stiff_rate`` and the integrator caps the step accordingly.
 
-Steady states of generators that carry their operators (the cavity
-tiers) are solved directly at any dimension: GMRES on the trace-bordered
-generator, right-preconditioned by the inverse of the shifted no-jump
-part, which is a Sylvester equation solved by Bartels-Stewart on one
-Schur form.  Other generators (the reduced tier) are materialized and
-diagonalized densely, which needs dim <= 64.  Long-time relaxation
-remains as an independent check.
+Steady states of every tier are solved directly: GMRES on the
+trace-bordered generator, right-preconditioned by the inverse of the
+shifted no-jump part, which is a Sylvester equation solved by
+Bartels-Stewart on one Schur form.  Long-time relaxation remains as an
+independent check.
 """
 
 from __future__ import annotations
@@ -54,31 +58,107 @@ _STAB_MARGIN = 2.5
 class LiouvillianAction:
     """A master-equation generator as a deterministic map rho -> drho/dt.
 
-    ``superop`` is an optional dense (dim^2 x dim^2) column-stacking
-    materialization.  ``matvec`` is an optional fast path acting on
-    column-stacked vectors.  ``rate_scale`` is the characteristic
+    ``matvec`` applies the generator to a column-stacked state; every
+    other view derives from it.  ``rate_scale`` is the characteristic
     damping rate used to scale residual tolerances; ``stiff_rate``
     bounds the fastest frequency in the generator (0 for non-stiff
-    models).
+    models).  Generators built by :func:`liouvillian_from_operators`
+    keep their operators in ``meta["operators"]`` and their sparse
+    superoperator in ``meta["sparse_superop"]``.
     """
 
     dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
-    superop: np.ndarray | None = None
-    matvec: Callable[[np.ndarray], np.ndarray] | None = None
+    matvec: Callable[[np.ndarray], np.ndarray]
     rate_scale: float = 1.0
     stiff_rate: float = 0.0
     meta: dict = field(default_factory=dict)
 
-    def rhs_flat(self) -> Callable[[np.ndarray], np.ndarray]:
-        if self.matvec is not None:
-            return self.matvec
-        if self.superop is not None:
-            op = self.superop
-            return lambda v: op @ v
-        apply = self.apply
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """drho/dt for a (dim, dim) state."""
+        rho = np.asarray(rho, dtype=complex)
         d = self.dim
-        return lambda v: apply(v.reshape((d, d), order="F")).reshape(-1, order="F")
+        if rho.shape != (d, d):
+            raise DimensionMismatch(f"state shape {rho.shape}, expected ({d}, {d})")
+        return self.matvec(rho.reshape(-1, order="F")).reshape((d, d), order="F")
+
+    def rhs_flat(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self.matvec
+
+
+def _superoperator(h, d2_channels, cascade) -> sp.csr_matrix:
+    """Column-stacking superoperator for -i[H, .] + factor-2 dissipators.
+
+    ``d2_channels`` is a list of (rate, c) entering as rate * D[c];
+    ``cascade`` is (q, a1, a2) entering as
+    -q (a2+ a1 rho + rho a1+ a2 - a1 rho a2+ - a2 rho a1+).
+    """
+    dim = h.shape[0]
+    eye = sp.identity(dim, format="csr", dtype=complex)
+    h = sp.csr_matrix(h)
+    out = -1j * (sp.kron(eye, h, format="csr") - sp.kron(h.T, eye, format="csr"))
+    for rate, c in d2_channels:
+        c = sp.csr_matrix(c)
+        cd = c.conj().T
+        cdc = (cd @ c).tocsr()
+        out = out + rate * (
+            2.0 * sp.kron(c.conj(), c, format="csr")
+            - sp.kron(eye, cdc, format="csr")
+            - sp.kron(cdc.T, eye, format="csr")
+        )
+    q, a1, a2 = cascade
+    a1 = sp.csr_matrix(a1)
+    a2 = sp.csr_matrix(a2)
+    out = out - q * (
+        sp.kron(eye, (a2.conj().T @ a1).tocsr(), format="csr")
+        + sp.kron((a1.conj().T @ a2).T.tocsr(), eye, format="csr")
+        - sp.kron(a2.conj(), a1, format="csr")
+        - sp.kron(a1.conj(), a2, format="csr")
+    )
+    out = out.tocsr()
+    out.sum_duplicates()
+    return out
+
+
+def no_jump_generator(h, d2_channels, cascade) -> np.ndarray:
+    """K with L(rho) = K rho + rho K+ + (jump terms), as a dense matrix.
+
+    The operators are those of :func:`_superoperator`, so
+    K = -iH - sum rate c+ c - q a2+ a1.
+    """
+    k = -1j * sp.csr_matrix(h)
+    for rate, c in d2_channels:
+        c = sp.csr_matrix(c)
+        k = k - rate * (c.conj().T @ c)
+    q, a1, a2 = cascade
+    k = k - q * (sp.csr_matrix(a2).conj().T @ sp.csr_matrix(a1))
+    return k.toarray()
+
+
+def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
+                               stiff_rate: float = 0.0, meta=None) -> LiouvillianAction:
+    """The generator of a cascaded master equation, from its operators.
+
+    ``h`` is the (dim, dim) Hamiltonian, ``d2_channels`` the (rate, c)
+    dissipators and ``cascade`` the (q, a1, a2) coupling, as in
+    :func:`_superoperator`; dense or sparse operators both work.  The
+    operators are kept in ``meta["operators"]`` for the steady-state
+    solver and the superoperator in ``meta["sparse_superop"]``.
+    """
+    lsp = _superoperator(h, d2_channels, cascade)
+
+    def matvec(v):
+        return lsp @ v
+
+    meta = dict(meta or {})
+    meta["sparse_superop"] = lsp
+    meta["operators"] = (h, d2_channels, cascade)
+    return LiouvillianAction(
+        dim=h.shape[0],
+        matvec=matvec,
+        rate_scale=rate_scale,
+        stiff_rate=stiff_rate,
+        meta=meta,
+    )
 
 
 @dataclass
@@ -245,12 +325,7 @@ def _dense_superop(liouvillian: LiouvillianAction) -> np.ndarray:
         raise DimensionMismatch(
             f"dim {liouvillian.dim} > {NULLSPACE_DIM_LIMIT}: superoperator not materializable"
         )
-    if liouvillian.superop is not None:
-        return np.asarray(liouvillian.superop)
-    spm = liouvillian.meta.get("sparse_superop")
-    if spm is None:
-        raise DimensionMismatch("generator carries no superoperator to diagonalize")
-    return spm.toarray()
+    return liouvillian.meta["sparse_superop"].toarray()
 
 
 _SEP_TOL = 1e-10
@@ -270,26 +345,8 @@ _GMRES_CYCLES = 2
 #: seed of the traceless right-hand side of the degeneracy probe
 _PROBE_SEED = 1972
 #: the probe's ||x|| / ||r|| beyond _PROBE_LIMIT / rate_scale means a second
-#: (near-)zero eigenvalue, as the 1e-10 separation rule of the dense path
+#: (near-)zero eigenvalue, as the 1e-10 separation rule of spectral_gap
 _PROBE_LIMIT = 1.0 / _SEP_TOL
-
-
-def no_jump_generator(h, d2_channels, cascade) -> np.ndarray:
-    """K with L(rho) = K rho + rho K+ + (jump terms), as a dense matrix.
-
-    The operators are those of ``meta["operators"]``: the Hamiltonian,
-    (rate, c) pairs entering as rate * (2 c rho c+ - {c+ c, rho}), and the
-    cascade (q, a1, a2) entering as -q (a2+ a1 rho + rho a1+ a2 - a1 rho a2+
-    - a2 rho a1+), so K = -iH - sum rate c+ c - q a2+ a1.
-    """
-    k = -1j * sp.csr_matrix(h)
-    for rate, c in d2_channels:
-        c = sp.csr_matrix(c)
-        k = k - rate * (c.conj().T @ c)
-    if cascade is not None:
-        q, a1, a2 = cascade
-        k = k - q * (sp.csr_matrix(a2).conj().T @ sp.csr_matrix(a1))
-    return k.toarray()
 
 
 def _sylvester_inverse(k: np.ndarray, s: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -313,9 +370,11 @@ def _sylvester_inverse(k: np.ndarray, s: float) -> Callable[[np.ndarray], np.nda
     return solve
 
 
-def _bordered_steady_state(liouvillian: LiouvillianAction) -> np.ndarray:
-    """Trace-one null vector from (L + w tr) rho = w, w = (rate_scale / d) I.
+def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
+    """Unique trace-one state in the generator's null space.
 
+    Solves (L + w tr) rho = w, w = (rate_scale / d) I, from the operators
+    in ``meta["operators"]`` (see :func:`liouvillian_from_operators`).
     Tracing the system gives tr rho = 1 and then L rho = 0, so the bordered
     operator B is regular exactly when the null space is one-dimensional.
     GMRES solves it with the shifted Sylvester inverse of the no-jump part
@@ -323,7 +382,8 @@ def _bordered_steady_state(liouvillian: LiouvillianAction) -> np.ndarray:
     so a second solve against a fixed traceless right-hand side probes
     the separation: its solution is L^-1 r on traceless matrices, and it
     fails or grows past _PROBE_LIMIT / rate_scale when another eigenvalue
-    of L is (close to) zero.
+    of L is (close to) zero; that raises :class:`DegenerateSteadyState`.
+    The state is returned hermitised and normalised.
     """
     d = liouvillian.dim
     n = d * d
@@ -368,41 +428,9 @@ def _bordered_steady_state(liouvillian: LiouvillianAction) -> np.ndarray:
             f"(probe ||L^-1 r|| rate_scale / ||r|| = {growth:.1e}"
             + (", no convergence)" if info else ")")
         )
-    return unvec(rho)
-
-
-def _dense_null_vector(liouvillian: LiouvillianAction) -> np.ndarray:
-    w, v = scipy.linalg.eig(_dense_superop(liouvillian))
-    scale = float(np.abs(w).max())
-    order = np.argsort(np.abs(w))
-    if np.abs(w[order[1]]) <= _SEP_TOL * scale:
-        raise DegenerateSteadyState(
-            "zero eigenvalue is degenerate or not separated from the spectrum"
-        )
-    return unvec(v[:, order[0]])
-
-
-def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
-    """Unique trace-one state in the generator's null space.
-
-    Generators that carry their operators (``meta["operators"]``, the
-    cavity tiers) are solved at any dimension by Sylvester-preconditioned
-    GMRES on the trace-bordered generator; see
-    :func:`_bordered_steady_state`.  Any other generator needs dim <= 64:
-    its superoperator is materialized and diagonalized densely, and the
-    zero eigenvalue must be separated from the rest of the spectrum by
-    1e-10 max|lambda|.  Either way a degenerate or unseparated null space
-    raises :class:`DegenerateSteadyState`.
-    """
-    if "operators" in liouvillian.meta:
-        rho = _bordered_steady_state(liouvillian)
-    else:
-        rho = _dense_null_vector(liouvillian)
+    rho = unvec(rho)
     rho = (rho + dagger(rho)) / 2.0
-    tr = np.real(np.trace(rho))
-    if abs(tr) < 1e-12:
-        raise DegenerateSteadyState("null vector is traceless; no stationary state found")
-    return rho / tr
+    return rho / np.real(np.trace(rho))
 
 
 def steady_state_longtime(

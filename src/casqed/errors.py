@@ -13,6 +13,11 @@ class NonHermitianInput(CasqedError, ValueError):
     """A matrix required to be hermitian is not, beyond tolerance."""
 
 
+class InvalidParams(CasqedError, ValueError):
+    """Model parameters lie outside their physical range (a rate of the
+    wrong sign, a zero detuning, an efficiency outside [0, 1])."""
+
+
 class DegenerateParams(CasqedError, ValueError):
     """Drive parameters sit at a critical point where the steady state
     is not unique (|a| = |b| with ideal coupling)."""

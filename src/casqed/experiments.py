@@ -9,7 +9,7 @@ worker scheduling, and nothing time- or host-dependent enters the CSV.
 
 Model tiers
 -----------
-``reduced``   two qubits, closed-form or 16x16-superoperator solves;
+``reduced``   two qubits; closed-form steady states in sweeps;
 ``effective`` two-level atoms + cavity modes;
 ``full``      five-level atoms + cavity modes + spontaneous emission.
 
@@ -43,7 +43,7 @@ from .cavity import (
 )
 from .config import ExperimentConfig
 from .dynamics import integrate, steady_state_nullspace
-from .errors import CasqedError, ConfigError
+from .errors import CasqedError, ConfigError, InvalidParams
 from .linalg import read_dm
 from .metrics import METRIC_COLUMNS, concurrence, fef_fidelity, output_flux, purity, vn_entropy
 from .reduced import (
@@ -58,7 +58,7 @@ from .svgplot import line_plot
 #: default (rel_tol, abs_tol) per tier; the full tier runs at its
 #: stability cap, where entries below abs_tol are bounded, not resolved
 #: (slow observables stay accurate for a linear generator)
-_TIER_TOLS = {
+TIER_TOLS = {
     "reduced": (1e-8, 1e-12),
     "effective": (1e-7, 1e-10),
     "full": (1e-6, 1e-3),
@@ -109,8 +109,26 @@ def matched_drive(cfg: ExperimentConfig) -> MatchedDrive:
     return MatchedDrive(cfg.a, cfg.b, cfg.epsilon, cross=cfg.cross)
 
 
-def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None) -> PhysicalParams:
-    """Balanced physical parameters from the config's physical block."""
+def check_params(cfg: ExperimentConfig) -> None:
+    """Run the models' own parameter checks on the configured point and
+    on every value of the epsilon sweep axis.
+
+    Raises :class:`ConfigError` for values the models reject, and for a
+    cavity tier without the physical block, before any generator is built
+    or sweep point is run.
+    """
+    try:
+        drive = matched_drive(cfg)
+        drive.params(cfg.drive_kappa1, cfg.drive_kappa2)
+        for eps in cfg.sweep_epsilon:
+            replace(drive, epsilon=eps)
+        if cfg.physical is not None or any(t != "reduced" for t in cfg.tiers):
+            _unbalanced_params(cfg)
+    except InvalidParams as exc:
+        raise ConfigError(f"invalid model parameters: {exc}") from exc
+
+
+def _unbalanced_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None) -> PhysicalParams:
     phys = cfg.require_physical()
     a_over_b = phys["a_over_b"] if a_over_b is None else a_over_b
     epsilon = phys["epsilon"] if epsilon is None else epsilon
@@ -126,11 +144,16 @@ def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None) -> Physi
     )
     if phys.get("kappa2") not in (None, phys["kappa1"]):
         p = replace(p, kappa2=phys["kappa2"])
-    return stark_balance(p, cfg.balance)
+    return p
+
+
+def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None) -> PhysicalParams:
+    """Balanced physical parameters from the config's physical block."""
+    return stark_balance(_unbalanced_params(cfg, a_over_b, epsilon), cfg.balance)
 
 
 def _tier_tols(cfg: ExperimentConfig, tier: str):
-    rel, abs_ = _TIER_TOLS[tier]
+    rel, abs_ = TIER_TOLS[tier]
     return (cfg.rel_tol if cfg.rel_tol is not None else rel,
             cfg.abs_tol if cfg.abs_tol is not None else abs_)
 

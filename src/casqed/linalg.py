@@ -1,18 +1,16 @@
 """Dense complex linear algebra over tensor-product spaces.
 
-Everything in this package is built on plain ``numpy`` complex arrays:
-operators are 2-d arrays, state vectors are 1-d arrays, and a
+States and operators on the joint space are plain ``numpy`` complex
+arrays: operators are 2-d arrays, state vectors are 1-d arrays, and a
 :class:`TensorSpace` records how a joint space factors into subsystems.
-Dimensions here are desk-scale (the largest space is 225 x 225), so all
-storage is dense.
+(Generators, which act on dim^2-long vectors, are sparse; see
+:mod:`casqed.dynamics`.)
 
 Vectorization uses the column-stacking convention, under which
 ``vec(A @ rho @ B) == kron(B.T, A) @ vec(rho)``.  That identity is the
 single contract the superoperator machinery relies on.
 
-The hermitian eigensolver is a cyclic Jacobi iteration; it converges
-unconditionally for hermitian input and is exact enough at these sizes
-(reconstruction residual <= 1e-10 relative in Frobenius norm).
+The hermitian eigensolver is LAPACK's, behind a hermiticity check.
 """
 
 from __future__ import annotations
@@ -135,79 +133,24 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# hermitian eigensolver (cyclic Jacobi)
+# hermitian eigensolver
 # ---------------------------------------------------------------------------
 
-def hermitian_eigen(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
-    """Eigendecomposition of a hermitian matrix by cyclic Jacobi rotations.
-
-    Parameters
-    ----------
-    a : ndarray
-        Hermitian matrix (checked to 1e-10 relative).
-    tol : float
-        Sweep termination threshold on the off-diagonal Frobenius norm,
-        relative to the matrix norm.
+def hermitian_eigen(a: np.ndarray):
+    """Eigendecomposition of a hermitian matrix (checked to 1e-10 relative).
 
     Returns
     -------
     (w, V) : eigenvalues ascending, eigenvectors as the columns of V,
-        with ``a == V @ diag(w) @ V.conj().T`` to 1e-10 relative and
-        ``V.conj().T @ V == I`` to the same tolerance.
+        with ``a == V @ diag(w) @ V.conj().T`` and ``V.conj().T @ V == I``
+        to rounding.
     """
     a = asmatrix(a)
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("hermitian_eigen needs a square matrix")
-    scale = max(np.abs(a).max(), 0.0)
-    if scale == 0.0:
-        return np.zeros(n), np.eye(n, dtype=complex)
-    if np.abs(a - dagger(a)).max() > 1e-10 * scale:
+    if np.abs(a - dagger(a)).max() > 1e-10 * np.abs(a).max():
         raise NonHermitianInput("input is not hermitian within 1e-10")
-
-    A = (a + dagger(a)) / 2.0
-    V = np.eye(n, dtype=complex)
-    norm = np.linalg.norm(A)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol * norm / n:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # G rotates columns (p, q); zeroes A[p, q]
-                g_pp, g_pq = c, s * phase
-                g_qp, g_qq = -s * np.conj(phase), c
-                colp = A[:, p].copy()
-                colq = A[:, q].copy()
-                A[:, p] = colp * g_pp + colq * g_qp
-                A[:, q] = colp * g_pq + colq * g_qq
-                rowp = A[p, :].copy()
-                rowq = A[q, :].copy()
-                A[p, :] = np.conj(g_pp) * rowp + np.conj(g_qp) * rowq
-                A[q, :] = np.conj(g_pq) * rowp + np.conj(g_qq) * rowq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                colp = V[:, p].copy()
-                colq = V[:, q].copy()
-                V[:, p] = colp * g_pp + colq * g_qp
-                V[:, q] = colp * g_pq + colq * g_qq
-
-    w = np.diag(A).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return np.linalg.eigh((a + dagger(a)) / 2.0)
 
 
 def eigvalsh_min(a: np.ndarray) -> float:

@@ -28,12 +28,13 @@ in rad/us here, making trajectory times microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateParams, DimensionMismatch
-from .linalg import TensorSpace, dagger, embed_at, kron
+from .dynamics import LiouvillianAction, liouvillian_from_operators
+from .errors import DegenerateParams, DimensionMismatch, InvalidParams
+from .linalg import TensorSpace, dagger, embed_at
 
 #: Two-qubit space, each factor ordered (|1>, |0>).
 TWO_QUBITS = TensorSpace((2, 2))
@@ -62,9 +63,9 @@ class ReducedParams:
 
     def __post_init__(self):
         if not (self.kappa1 > 0 and self.kappa2 > 0):
-            raise ValueError("cavity decay rates must be positive")
+            raise InvalidParams("cavity decay rates must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+            raise InvalidParams(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
     @property
     def rate_scale(self) -> float:
@@ -91,9 +92,9 @@ class MatchedDrive:
 
     def __post_init__(self):
         if abs(self.a) ** 2 + abs(self.b) ** 2 <= 0.0:
-            raise ValueError("need |a|^2 + |b|^2 > 0")
+            raise InvalidParams("need |a|^2 + |b|^2 > 0")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+            raise InvalidParams(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
     def params(self, kappa1: float = 1.0, kappa2: float = 1.0) -> ReducedParams:
         r2, s2 = (self.b, self.a) if self.cross else (self.a, self.b)
@@ -138,22 +139,7 @@ def liouvillian_apply(p: ReducedParams, rho: np.ndarray) -> np.ndarray:
 
 def liouvillian_matrix(p: ReducedParams) -> np.ndarray:
     """The 16x16 superoperator L with unvec(L @ vec(rho)) == liouvillian_apply."""
-    r1, r2 = jump_operators(p)
-    eye = np.eye(4, dtype=complex)
-    out = np.zeros((16, 16), dtype=complex)
-    for c in (r1, r2):
-        cd = dagger(c)
-        cdc = cd @ c
-        out += 2.0 * kron(np.conj(c), c) - kron(eye, cdc) - kron(cdc.T, eye)
-    r1d, r2d = dagger(r1), dagger(r2)
-    q = 2.0 * np.sqrt(p.epsilon)
-    out -= q * (
-        kron(np.conj(r2), r1)        # R1 rho R2+
-        - kron(eye, r2d @ r1)        # - R2+ R1 rho
-        + kron(np.conj(r1), r2)      # R2 rho R1+
-        - kron((r1d @ r2).T, eye)    # - rho R1+ R2
-    )
-    return out
+    return liouvillian_action(p).meta["sparse_superop"].toarray()
 
 
 def analytic_steady_state(m: MatchedDrive) -> np.ndarray:
@@ -164,9 +150,14 @@ def analytic_steady_state(m: MatchedDrive) -> np.ndarray:
     nonzero.  Raises :class:`DegenerateParams` at the critical point
     |a| = |b|, eps = 1 where the denominator vanishes and relaxation
     becomes arbitrarily slow.
+
+    With ``cross=True`` atom 2's jump operator is X R_2 X (X swaps |0>
+    and |1>), so the generator and its steady state are those of the
+    standard drive conjugated by X on qubit 2.
     """
     if m.cross:
-        raise ValueError("analytic steady state covers the standard (phi-sector) drive")
+        flip = [_IDX_10, _IDX_11, _IDX_00, _IDX_01]
+        return analytic_steady_state(replace(m, cross=False))[np.ix_(flip, flip)]
     a, b, eps = complex(m.a), complex(m.b), float(m.epsilon)
     x = abs(a) ** 2
     y = abs(b) ** 2
@@ -250,17 +241,17 @@ def initial_ground_state() -> np.ndarray:
     return rho
 
 
-def liouvillian_action(p: ReducedParams):
-    """Package the reduced generator for the dynamics module."""
-    from .dynamics import LiouvillianAction
+def liouvillian_action(p: ReducedParams) -> LiouvillianAction:
+    """The reduced generator in the operator form shared by every tier.
 
-    mat = liouvillian_matrix(p)
-    return LiouvillianAction(
-        dim=4,
-        apply=lambda rho: liouvillian_apply(p, rho),
-        superop=mat,
-        matvec=lambda v: mat @ v,
+    No Hamiltonian, the dissipators D[R_1] and D[R_2], and the cascade
+    with q = -2 sqrt(eps): the terms of :func:`liouvillian_apply`.
+    """
+    r1, r2 = jump_operators(p)
+    return liouvillian_from_operators(
+        np.zeros((4, 4), dtype=complex),
+        [(1.0, r1), (1.0, r2)],
+        (-2.0 * np.sqrt(p.epsilon), r1, r2),
         rate_scale=p.rate_scale,
-        stiff_rate=0.0,
         meta={"tier": "reduced"},
     )

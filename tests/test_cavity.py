@@ -22,7 +22,6 @@ from casqed.cavity import (
 from casqed.dynamics import (
     integrate,
     no_jump_generator,
-    steady_state_longtime,
     steady_state_nullspace,
 )
 from casqed.errors import (
@@ -33,7 +32,7 @@ from casqed.errors import (
 )
 from casqed.linalg import dagger
 from casqed.metrics import fef_fidelity
-from casqed.reduced import MatchedDrive, analytic_steady_state
+from casqed.reduced import MatchedDrive, analytic_steady_state, liouvillian_action
 
 
 def fig3_like(a_over_b=2.0, epsilon=0.98, gamma=5.2, g=110.0, kappa=14.2,
@@ -71,14 +70,6 @@ def rand_herm_state(rng, n):
     return rho / np.trace(rho).real
 
 
-def _pad_fock(rho, small, big):
-    # embed a state of ``small`` into the larger Fock cutoff of ``big``
-    dims = small.tensor_space.factor_dims
-    extra = big.nph - small.nph
-    widths = [(0, 0), (0, 0), (0, extra), (0, extra)] * 2
-    return np.pad(rho.reshape(dims + dims), widths).reshape(big.dim, big.dim)
-
-
 def _bordered_spsolve(act):
     # independent steady state: sparse LU of the generator with its first
     # row (a diagonal entry, implied by the other diagonal rows since
@@ -101,10 +92,10 @@ def _jump_part(rho, d2_channels, cascade):
     # the generator that Kr + rK+ leaves out
     out = np.zeros_like(rho)
     for rate, c in d2_channels:
-        c = c.toarray()
+        c = sp.csr_matrix(c).toarray()
         out += 2.0 * rate * c @ rho @ dagger(c)
     q, a1, a2 = cascade
-    a1, a2 = a1.toarray(), a2.toarray()
+    a1, a2 = sp.csr_matrix(a1).toarray(), sp.csr_matrix(a2).toarray()
     return out + q * (a1 @ rho @ dagger(a2) + a2 @ rho @ dagger(a1))
 
 
@@ -285,20 +276,11 @@ class TestEffectiveModel:
         rho3 = steady_state_nullspace(build_effective_liouvillian(p, space3))
         assert top_fock_population(rho3, space3) <= top_tol
 
-        # raising the cutoff of the accepted space no longer moves the
-        # answer.  Cutoff 4 (dim 100) is over the null-space limit, so relax
-        # to it from the cutoff-3 state with empty extra photon states.  The
-        # state error is about residual / gap and the gap is only
-        # 1.2e-3 rate_scale: at the default tol=1e-8 the run stops next to
-        # its warm start, and the check would compare cutoff 3 with itself.
-        # tol=1e-10 puts the cutoff-4 fidelity within ~4e-8 of a direct solve.
+        # raising the cutoff of the accepted space no longer moves the answer
         space4 = ModelSpace(2, 4)
-        res4 = steady_state_longtime(
-            build_effective_liouvillian(p, space4), _pad_fock(rho3, space3, space4),
-            tol=1e-10,
-        )
+        rho4 = steady_state_nullspace(build_effective_liouvillian(p, space4))
         fid3 = fef_fidelity(qubit_marginal(rho3, space3))
-        fid4 = fef_fidelity(qubit_marginal(res4.rho, space4))
+        fid4 = fef_fidelity(qubit_marginal(rho4, space4))
         assert abs(fid4 - fid3) <= 1e-6
 
     def test_compensation_beats_plain_resonance(self):
@@ -319,18 +301,24 @@ class TestEffectiveModel:
 
 
 class TestDirectSteadyState:
-    @pytest.mark.parametrize("levels,cutoff", [(2, 1), (2, 2), (5, 1)])
+    @pytest.mark.parametrize("levels,cutoff", [
+        (2, 1), (2, 2), (5, 1), pytest.param(None, None, id="reduced"),
+    ])
     def test_no_jump_split_reproduces_generator(self, levels, cutoff):
         # the solver's K must be the no-jump part of the generator, with
-        # the cascade sign of the superoperator: K r + r K+ + J(r) = L r
+        # the cascade sign of the superoperator: K r + r K+ + J(r) = L r.
+        # The reduced tier (no cavity modes) has its cascade at q < 0.
         rng = np.random.default_rng(64)
-        space = ModelSpace(levels, cutoff)
-        build = build_effective_liouvillian if levels == 2 else build_full_liouvillian
-        act = build(fig3_like() if levels == 2 else scaled_params(gamma=3.0), space)
+        if levels is None:
+            act = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
+        else:
+            space = ModelSpace(levels, cutoff)
+            build = build_effective_liouvillian if levels == 2 else build_full_liouvillian
+            act = build(fig3_like() if levels == 2 else scaled_params(gamma=3.0), space)
         ops = act.meta["operators"]
         k = no_jump_generator(*ops)
         for _ in range(3):
-            rho = rand_herm_state(rng, space.dim)
+            rho = rand_herm_state(rng, act.dim)
             split = k @ rho + rho @ dagger(k) + _jump_part(rho, *ops[1:])
             ref = act.apply(rho)
             assert np.abs(split - ref).max() <= 1e-12 * np.abs(ref).max()

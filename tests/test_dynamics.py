@@ -28,12 +28,7 @@ def rand_herm(rng, n=4):
 
 
 def zero_action(dim=4):
-    return LiouvillianAction(
-        dim=dim,
-        apply=lambda rho: np.zeros_like(rho),
-        superop=np.zeros((dim * dim, dim * dim), dtype=complex),
-        rate_scale=1.0,
-    )
+    return LiouvillianAction(dim=dim, matvec=np.zeros_like, rate_scale=1.0)
 
 
 class TestIntegrate:
@@ -116,6 +111,28 @@ class TestSteadyStateNullspace:
         ns = steady_state_nullspace(action)
         lt = steady_state_longtime(action, initial_ground_state(), tol=1e-10)
         assert np.linalg.norm(ns - lt.rho) <= 1e-6
+
+
+class TestMatvecIsTheGenerator:
+    def test_solvers_call_a_reassigned_matvec(self):
+        # every view of the generator goes through ``matvec``, so wrapping
+        # it (as a profiler or a counter would) sees every application
+        action = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
+        inner = action.matvec
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            return inner(v)
+
+        action.matvec = counted
+        integrate(action, initial_ground_state(), [0.0, 1.0])
+        after_integrate = len(calls)
+        assert after_integrate > 0
+        steady_state_nullspace(action)
+        assert len(calls) > after_integrate
+        action.apply(initial_ground_state())
+        assert len(calls) > after_integrate + 1
 
 
 class TestSteadyStateLongtime:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from casqed.dynamics import steady_state_nullspace
 from casqed.errors import DegenerateParams, DimensionMismatch
 from casqed.linalg import dagger, kron, unvec, vec_stack
 from casqed.metrics import fef_fidelity, purity
@@ -16,6 +17,7 @@ from casqed.reduced import (
     dark_state,
     initial_ground_state,
     jump_operators,
+    liouvillian_action,
     liouvillian_apply,
     liouvillian_matrix,
     output_flux_operator,
@@ -189,6 +191,20 @@ class TestStationarityOracle:
             rho = analytic_steady_state(m)
             resid = np.linalg.norm(liouvillian_apply(m.params(), rho))
             assert resid <= 1e-11 * (abs(a) ** 2 + abs(b) ** 2)
+            tested += 1
+
+    def test_cross_drive_matches_null_space(self):
+        # cross=True is the standard drive conjugated by X on qubit 2; the
+        # numeric route solves the cross-drive generator itself
+        rng = np.random.default_rng(4321)
+        tested = 0
+        while tested < 50:
+            a, b, eps = rand_drive(rng)
+            if abs(matched_denominator(a, b, eps)) <= 1e-6:
+                continue
+            m = MatchedDrive(a, b, eps, cross=True)
+            numeric = steady_state_nullspace(liouvillian_action(m.params()))
+            assert np.abs(analytic_steady_state(m) - numeric).max() <= 1e-9
             tested += 1
 
 
