@@ -45,7 +45,7 @@ keys and defaults:
   physical.a_over_b physical.epsilon [physical.omega_1_2pi_MHz = 100]
   time.t_max_us = 10   time.n_points = 101
   solver.rel_tol solver.abs_tol      default per tier: {tier_tols}
-  solver.ss_tol = 1e-8  solver.max_time_us   accepted; unused since steady states are solved directly
+  solver.ss_tol = 1e-8               accepted; unused since steady states are solved directly
   sweep.a_over_b = 1.1:4.0:0.1  sweep.epsilon = 0.7:1.0:0.01  sweep.Y = log:1:300:30
 """
 

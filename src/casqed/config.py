@@ -103,7 +103,6 @@ class ExperimentConfig:
     rel_tol: float | None   # None: per-tier defaults
     abs_tol: float | None
     ss_tol: float
-    max_time_us: float | None
     # sweep axes
     sweep_a_over_b: list
     sweep_epsilon: list
@@ -214,7 +213,6 @@ def validate_config(raw: dict, text: str = "") -> ExperimentConfig:
     rel_tol = _get(raw, "solver.rel_tol", None, float)
     abs_tol = _get(raw, "solver.abs_tol", None, float)
     ss_tol = _get(raw, "solver.ss_tol", 1e-8, float)
-    max_time_us = _get(raw, "solver.max_time_us", None, float)
 
     # sweep axes default to the standard figure ranges
     sweep_a_over_b = [float(x) for x in _as_list(_get(raw, "sweep.a_over_b", parse_value("1.1:4.0:0.1")))]
@@ -234,7 +232,7 @@ def validate_config(raw: dict, text: str = "") -> ExperimentConfig:
         drive_kappa1=drive_kappa1, drive_kappa2=drive_kappa2, cross=cross,
         physical=physical, balance=balance, fock_cutoff=fock_cutoff,
         t_max_us=t_max_us, n_points=n_points,
-        rel_tol=rel_tol, abs_tol=abs_tol, ss_tol=ss_tol, max_time_us=max_time_us,
+        rel_tol=rel_tol, abs_tol=abs_tol, ss_tol=ss_tol,
         sweep_a_over_b=sweep_a_over_b, sweep_epsilon=sweep_epsilon, sweep_Y=sweep_Y,
         raw=dict(raw),
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),

@@ -13,10 +13,17 @@ Model tiers
 ``effective`` two-level atoms + cavity modes;
 ``full``      five-level atoms + cavity modes + spontaneous emission.
 
+Every point of ``sweep-eps`` and ``sweep-coop`` takes one path: its
+parameters come from :func:`physical_params` (the physical block with
+a/b, epsilon or the cooperativity Y replaced).  The reduced tier takes
+the closed form on a matched drive, from ``drive.*`` or recovered from
+the point's reduced parameters; the cavity tiers take the qubit marginal
+of :func:`converged_steady_state`.  One writer emits CSV, SVG, manifest.
+
 Steady states of the cavity tiers come from a direct solve at each Fock
-cutoff (see :func:`converged_steady_state`).  Time evolution of the full
-tier runs at its stability limit (detunings of order 2 pi x 8 GHz against
-microsecond relaxation), so full-tier ``evolve`` runs are slow.
+cutoff.  Time evolution of the full tier runs at its stability limit
+(detunings of order 2 pi x 8 GHz against microsecond relaxation), so
+full-tier ``evolve`` runs are slow.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -43,7 +51,7 @@ from .cavity import (
 )
 from .config import ExperimentConfig
 from .dynamics import integrate, steady_state_nullspace
-from .errors import CasqedError, ConfigError, InvalidParams
+from .errors import CasqedError, ConfigError, InfeasibleBalance, InvalidParams
 from .linalg import read_dm
 from .metrics import METRIC_COLUMNS, concurrence, fef_fidelity, output_flux, purity, vn_entropy
 from .reduced import (
@@ -82,17 +90,7 @@ class RunManifest:
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "config_sha256": self.config_sha256,
-                    "artifact_version": self.artifact_version,
-                    "seed": self.seed,
-                    "wall_clock_s": self.wall_clock_s,
-                    "points": self.points,
-                },
-                fh,
-                indent=2,
-            )
+            json.dump(vars(self), fh, indent=2)
             fh.write("\n")
 
 
@@ -123,33 +121,45 @@ def check_params(cfg: ExperimentConfig) -> None:
         for eps in cfg.sweep_epsilon:
             replace(drive, epsilon=eps)
         if cfg.physical is not None or any(t != "reduced" for t in cfg.tiers):
-            _unbalanced_params(cfg)
+            physical_params(cfg)
     except InvalidParams as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
+    except InfeasibleBalance:
+        pass  # balanced per point; a sweep need not visit the configured a/b
 
 
-def _unbalanced_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None) -> PhysicalParams:
+def _coop_g(phys: dict, Y: float) -> float:
+    """g at the cooperativity Y = g^2 / (kappa1 gamma)."""
+    if phys["gamma"] <= 0:
+        raise ConfigError("sweep-coop needs physical.gamma_2pi_MHz > 0", key="physical.gamma_2pi_MHz")
+    return float(np.sqrt(Y * phys["kappa1"] * phys["gamma"]))
+
+
+def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None, Y=None) -> PhysicalParams:
+    """Balanced physical parameters of one point of the config's physical block.
+
+    ``a_over_b`` and ``epsilon`` replace the block's values.  ``Y`` sets
+    g = sqrt(Y kappa1 gamma) and scales the drives by g_cfg / g, which holds
+    the Raman rates beta = g Omega / (2 Delta) at their configured values.
+    """
     phys = cfg.require_physical()
     a_over_b = phys["a_over_b"] if a_over_b is None else a_over_b
     epsilon = phys["epsilon"] if epsilon is None else epsilon
+    g = phys["g"] if Y is None else _coop_g(phys, Y)
+    scale = phys["g"] / g if Y is not None else 1.0
     p = PhysicalParams.symmetric(
-        g=phys["g"],
+        g=g,
         kappa=phys["kappa1"],
         gamma=phys["gamma"],
         Delta=phys["Delta"],
-        Omega_r=a_over_b * phys["Omega_s"],
-        Omega_s=phys["Omega_s"],
+        Omega_r=a_over_b * phys["Omega_s"] * scale,
+        Omega_s=phys["Omega_s"] * scale,
         epsilon=epsilon,
         omega_1=phys["omega_1"],
     )
-    if phys.get("kappa2") not in (None, phys["kappa1"]):
+    if phys["kappa2"] != phys["kappa1"]:
         p = replace(p, kappa2=phys["kappa2"])
-    return p
-
-
-def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None) -> PhysicalParams:
-    """Balanced physical parameters from the config's physical block."""
-    return stark_balance(_unbalanced_params(cfg, a_over_b, epsilon), cfg.balance)
+    return stark_balance(p, cfg.balance)
 
 
 def _tier_tols(cfg: ExperimentConfig, tier: str):
@@ -170,6 +180,16 @@ class TierModel:
         return rho if self.space is None else qubit_marginal(rho, self.space)
 
 
+def _cavity_model(tier: str):
+    """(atom levels, generator builder) of a cavity tier; the builders are
+    read from the module globals at each call, so rebinding them takes effect."""
+    if tier == "effective":
+        return 2, build_effective_liouvillian
+    if tier == "full":
+        return 5, build_full_liouvillian
+    raise ConfigError(f"unknown tier {tier!r}", key="model.tier")
+
+
 def build_tier(cfg: ExperimentConfig, tier: str) -> TierModel:
     if tier == "reduced":
         if cfg.physical is not None:
@@ -184,17 +204,11 @@ def build_tier(cfg: ExperimentConfig, tier: str) -> TierModel:
             space=None,
         )
     p = physical_params(cfg)
-    if tier == "effective":
-        space = ModelSpace(2, cfg.fock_cutoff)
-        action = build_effective_liouvillian(p, space)
-    elif tier == "full":
-        space = ModelSpace(5, cfg.fock_cutoff)
-        action = build_full_liouvillian(p, space)
-    else:
-        raise ConfigError(f"unknown tier {tier!r}", key="model.tier")
+    levels, builder = _cavity_model(tier)
+    space = ModelSpace(levels, cfg.fock_cutoff)
     return TierModel(
         tier=tier,
-        action=action,
+        action=builder(p, space),
         rho0=vacuum_ground_state(space),
         flux_op=output_flux_operator(p, space),
         space=space,
@@ -214,17 +228,17 @@ def metric_row(model: TierModel, rho) -> list:
 
 
 def converged_steady_state(p: PhysicalParams, tier: str, cfg: ExperimentConfig,
-                           start_cutoff=None, max_cutoff=4, top_tol=1e-6):
+                           max_cutoff=4, top_tol=1e-6):
     """Steady state with automatic Fock-cutoff escalation.
 
-    Raises the cutoff (up to ``max_cutoff``) until the top retained
-    photon state holds no more than ``top_tol`` population.  Every
-    cutoff is solved directly by :func:`steady_state_nullspace`.
+    Raises the cutoff from ``cfg.fock_cutoff`` (up to ``max_cutoff``)
+    until the top retained photon state holds no more than ``top_tol``
+    population.  Every cutoff is solved directly by
+    :func:`steady_state_nullspace`.
     Returns (rho, space, cutoff).
     """
-    builder = build_effective_liouvillian if tier == "effective" else build_full_liouvillian
-    levels = 2 if tier == "effective" else 5
-    cutoff = cfg.fock_cutoff if start_cutoff is None else start_cutoff
+    levels, builder = _cavity_model(tier)
+    cutoff = cfg.fock_cutoff
     while True:
         space = ModelSpace(levels, cutoff)
         rho = steady_state_nullspace(builder(p, space))
@@ -272,127 +286,101 @@ def run_timeseries(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int =
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _eps_point(args):
-    cfg, tier, ratio, eps = args
+def _point_model(cfg: ExperimentConfig, tier: str, point: dict):
+    """The closed-form drive (reduced tier) or the physical parameters of a
+    sweep point; ``point`` holds keyword arguments of :func:`physical_params`."""
+    if tier != "reduced":
+        return physical_params(cfg, **point)
+    if cfg.physical is None:
+        return MatchedDrive(point["a_over_b"] * cfg.b, cfg.b, point["epsilon"], cross=cfg.cross)
+    return MatchedDrive.from_params(reduced_params(physical_params(cfg, **point)))
+
+
+def _steady_point(cfg: ExperimentConfig, tier: str, point: dict):
+    """(fidelity, None) of one sweep point's steady state, or (nan, error)."""
     try:
+        model = _point_model(cfg, tier, point)
         if tier == "reduced":
-            if cfg.physical is not None:
-                rp = reduced_params(physical_params(cfg, a_over_b=ratio, epsilon=eps))
-                a = rp.beta_r1 / np.sqrt(rp.kappa1)
-                b = rp.beta_s1 / np.sqrt(rp.kappa1)
-                m = MatchedDrive(a, b, eps, cross=cfg.cross)
-            else:
-                m = MatchedDrive(ratio * cfg.b, cfg.b, eps, cross=cfg.cross)
-            rho = analytic_steady_state(m)
-            return float(fef_fidelity(rho)), None
-        p = physical_params(cfg, a_over_b=ratio, epsilon=eps)
-        rho, space, _ = converged_steady_state(p, tier, cfg)
+            return float(fef_fidelity(analytic_steady_state(model))), None
+        rho, space, _ = converged_steady_state(model, tier, cfg)
         return float(fef_fidelity(qubit_marginal(rho, space))), None
     except CasqedError as exc:
         return float("nan"), f"{type(exc).__name__}: {exc}"
 
 
-def run_sweep_eps(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int = 1):
-    """Steady-state fidelity on the (a/b, epsilon) grid."""
-    t_start = time.perf_counter()
-    tier = cfg.tiers[0]
-    grid = [(ratio, eps) for ratio in cfg.sweep_a_over_b for eps in cfg.sweep_epsilon]
-    tasks = [(cfg, tier, ratio, eps) for ratio, eps in grid]
-    results = _run_points(_eps_point, tasks, workers)
+def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, points, rows, plot):
+    """Solve every sweep point; write ``<name>.csv``, ``<name>.svg`` and the manifest.
 
-    rows, points = [], []
-    failed = 0
-    for (ratio, eps), (fid, err) in zip(grid, results):
-        rows.append([ratio, eps, fid])
-        points.append({"a_over_b": ratio, "epsilon": eps, "converged": err is None,
-                       **({"error": err} if err else {})})
-        failed += err is not None
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "sweep_eps.csv", ("a_over_b", "epsilon", "fidelity"), rows)
-    # one fidelity-vs-ratio line per (subsampled) epsilon
-    eps_axis = cfg.sweep_epsilon
-    shown = eps_axis if len(eps_axis) <= 6 else [eps_axis[i] for i in
-                                                 np.linspace(0, len(eps_axis) - 1, 6).astype(int)]
-    series = []
-    for eps in shown:
-        fids = [rows[i * len(eps_axis) + eps_axis.index(eps)][2] for i in range(len(cfg.sweep_a_over_b))]
-        series.append((f"eps={eps:g}", cfg.sweep_a_over_b, fids))
-    line_plot(out_dir / "sweep_eps.svg", series,
-              title="steady-state fidelity", xlabel="a/b", ylabel="fidelity")
-    RunManifest(cfg.sha256, __version__, seed, time.perf_counter() - t_start, points).write(
-        out_dir / "manifest.json"
-    )
-    if failed:
-        raise CasqedError(f"{failed} sweep point(s) failed; see manifest")
-    return out_dir / "sweep_eps.csv"
-
-
-def _coop_point(args):
-    cfg, tier, Y = args
-    try:
-        phys = cfg.require_physical()
-        kappa, gamma = phys["kappa1"], phys["gamma"]
-        if gamma <= 0:
-            raise ConfigError("sweep-coop needs physical.gamma_2pi_MHz > 0", key="physical.gamma_2pi_MHz")
-        g = float(np.sqrt(Y * kappa * gamma))
-        scale = phys["g"] / g  # hold beta = g Omega / (2 Delta) fixed
-        p = PhysicalParams.symmetric(
-            g=g, kappa=kappa, gamma=gamma, Delta=phys["Delta"],
-            Omega_r=phys["a_over_b"] * phys["Omega_s"] * scale,
-            Omega_s=phys["Omega_s"] * scale,
-            epsilon=phys["epsilon"], omega_1=phys["omega_1"],
-        )
-        p = stark_balance(p, cfg.balance)
-        if tier == "reduced":
-            rp = reduced_params(p)
-            m = MatchedDrive(rp.beta_r1 / np.sqrt(rp.kappa1), rp.beta_s1 / np.sqrt(rp.kappa1),
-                             rp.epsilon)
-            return g, float(fef_fidelity(analytic_steady_state(m))), None
-        rho, space, _ = converged_steady_state(p, tier, cfg)
-        return g, float(fef_fidelity(qubit_marginal(rho, space))), None
-    except CasqedError as exc:
-        return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
-
-
-def run_sweep_coop(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int = 1):
-    """Steady-state fidelity against the cooperativity Y = g^2/(kappa gamma).
-
-    g is varied; the drive amplitudes are rescaled to hold the Raman
-    rates fixed, and the light-shift balance is re-solved per point.
+    ``points`` (see :func:`_point_model`) become the manifest's points and
+    gain ``converged`` and ``error``; each of ``rows`` gains its point's
+    fidelity.  ``plot(path, fidelities)`` draws the SVG.  Raises
+    :class:`CasqedError` when a point failed.
     """
     t_start = time.perf_counter()
     tier = cfg.tiers[0]
-    phys = cfg.require_physical()
-    tasks = [(cfg, tier, Y) for Y in cfg.sweep_Y]
-    results = _run_points(_coop_point, tasks, workers)
+    # a check that holds at every point or at none (the closed form's
+    # matched drive) fails once, as a config error
+    try:
+        _point_model(cfg, tier, points[0])
+    except InvalidParams as exc:
+        raise ConfigError(f"invalid model parameters: {exc}") from exc
+    except InfeasibleBalance:
+        pass  # depends on a/b; the point's own row reports it
+    results = _run_points(partial(_steady_point, cfg, tier), points, workers)
 
-    rows, points = [], []
     failed = 0
-    for Y, (g, fid, err) in zip(cfg.sweep_Y, results):
-        rows.append([phys["a_over_b"], phys["epsilon"], Y, g, fid])
-        points.append({"Y": Y, "converged": err is None, **({"error": err} if err else {})})
-        failed += err is not None
-
+    for point, row, (fid, err) in zip(points, rows, results):
+        row.append(fid)
+        point["converged"] = err is None
+        if err:
+            point["error"] = err
+            failed += 1
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "sweep_coop.csv",
-        ("a_over_b", "epsilon", "Y", "g_2pi_MHz", "fidelity"),
-        rows,
-    )
-    line_plot(
-        out_dir / "sweep_coop.svg",
-        [(f"a/b={phys['a_over_b']:g}, eps={phys['epsilon']:g}", cfg.sweep_Y,
-          [r[4] for r in rows])],
-        title="steady-state fidelity vs cooperativity", xlabel="Y = g^2/(kappa gamma)",
-        ylabel="fidelity", logx=True,
-    )
+    _write_csv(out_dir / f"{name}.csv", header, rows)
+    plot(out_dir / f"{name}.svg", [fid for fid, _ in results])
     RunManifest(cfg.sha256, __version__, seed, time.perf_counter() - t_start, points).write(
         out_dir / "manifest.json"
     )
     if failed:
         raise CasqedError(f"{failed} sweep point(s) failed; see manifest")
-    return out_dir / "sweep_coop.csv"
+    return out_dir / f"{name}.csv"
+
+
+def run_sweep_eps(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int = 1):
+    """Steady-state fidelity on the (a/b, epsilon) grid."""
+    ratios, eps_axis = cfg.sweep_a_over_b, cfg.sweep_epsilon
+    points = [{"a_over_b": r, "epsilon": e} for r in ratios for e in eps_axis]
+    rows = [[r, e] for r in ratios for e in eps_axis]
+
+    def plot(path, fids):
+        # one fidelity-vs-ratio line per (subsampled) epsilon
+        n = len(eps_axis)
+        shown = range(n) if n <= 6 else np.linspace(0, n - 1, 6).astype(int)
+        line_plot(path, [(f"eps={eps_axis[j]:g}", ratios, fids[j::n]) for j in shown],
+                  title="steady-state fidelity", xlabel="a/b", ylabel="fidelity")
+
+    return _run_sweep(cfg, out_dir, seed, workers, "sweep_eps",
+                      ("a_over_b", "epsilon", "fidelity"), points, rows, plot)
+
+
+def run_sweep_coop(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int = 1):
+    """Steady-state fidelity against the cooperativity Y = g^2/(kappa1 gamma).
+
+    g is varied; the drive amplitudes are rescaled to hold the Raman
+    rates fixed, and the light-shift balance is re-solved per point
+    (see :func:`physical_params`).
+    """
+    phys = cfg.require_physical()
+    points = [{"Y": Y} for Y in cfg.sweep_Y]
+    rows = [[phys["a_over_b"], phys["epsilon"], Y, _coop_g(phys, Y)] for Y in cfg.sweep_Y]
+
+    def plot(path, fids):
+        line_plot(path, [(f"a/b={phys['a_over_b']:g}, eps={phys['epsilon']:g}", cfg.sweep_Y, fids)],
+                  title="steady-state fidelity vs cooperativity", xlabel="Y = g^2/(kappa gamma)",
+                  ylabel="fidelity", logx=True)
+
+    return _run_sweep(cfg, out_dir, seed, workers, "sweep_coop",
+                      ("a_over_b", "epsilon", "Y", "g_2pi_MHz", "fidelity"), points, rows, plot)
 
 
 def _run_points(fn, tasks, workers: int):

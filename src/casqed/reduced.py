@@ -108,6 +108,17 @@ class MatchedDrive:
             epsilon=self.epsilon,
         )
 
+    @classmethod
+    def from_params(cls, p: ReducedParams) -> "MatchedDrive":
+        """The standard matched drive behind ``p`` (inverse of :meth:`params`);
+        raises :class:`InvalidParams` if atom 2's beta/sqrt(kappa) differ."""
+        a, b = p.beta_r1 / np.sqrt(p.kappa1), p.beta_s1 / np.sqrt(p.kappa1)
+        a2, b2 = p.beta_r2 / np.sqrt(p.kappa2), p.beta_s2 / np.sqrt(p.kappa2)
+        if abs(a2 - a) + abs(b2 - b) > 1e-12 * (abs(a) + abs(b)):
+            raise InvalidParams("the closed form needs a matched drive, beta_i proportional to sqrt(kappa_i); "
+                                f"got beta/sqrt(kappa) = {a:.6g}, {b:.6g} and {a2:.6g}, {b2:.6g}")
+        return cls(a, b, p.epsilon)
+
 
 def jump_operators(p: ReducedParams):
     """The two effective jump operators R_1, R_2 on the joint space."""

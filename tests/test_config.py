@@ -1,0 +1,61 @@
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from casqed.config import parse_config_text, parse_value
+from casqed.errors import ConfigError
+
+# pure parsing: many cheap examples, the same ones on every run
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+steps = st.floats(min_value=1e-3, max_value=10.0)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@SETTINGS
+@given(lo=finite, step=steps, n=st.integers(1, 200), frac=st.floats(0.0, 0.5))
+def test_range_counts_both_ends(lo, step, n, frac):
+    # hi sits frac of a step past the n-th point, so exactly n points fit
+    hi = lo + (n - 1 + frac) * step
+    values = parse_value(f"{lo!r}:{hi!r}:{step!r}")
+    assert len(values) == n
+    assert values[0] == lo
+    assert values[-1] <= hi + 1e-9 * step and hi - values[-1] < step
+    assert all(b - a == pytest.approx(step, rel=1e-6, abs=1e-9) for a, b in zip(values, values[1:]))
+
+
+@SETTINGS
+@given(lo=finite, step=steps, gap=st.floats(1e-6, 100.0))
+def test_range_below_its_start_is_empty(lo, step, gap):
+    assert parse_value(f"{lo!r}:{lo - gap * step!r}:{step!r}") == []
+
+
+@SETTINGS
+@given(lo=positive, hi=positive, n=st.integers(1, 200))
+def test_log_range_hits_both_ends_monotonically(lo, hi, n):
+    values = parse_value(f"log:{lo!r}:{hi!r}:{n}")
+    assert len(values) == n
+    assert values[0] == pytest.approx(lo, rel=1e-12)
+    if n > 1:
+        assert values[-1] == pytest.approx(hi, rel=1e-12)
+    ordered = values if hi >= lo else values[::-1]
+    assert all(a <= b * (1 + 1e-12) for a, b in zip(ordered, ordered[1:]))  # up to rounding
+    assert all(math.isfinite(v) and v > 0 for v in values)
+
+
+@SETTINGS
+@given(items=st.lists(st.one_of(st.integers(-10**6, 10**6), finite), min_size=2, max_size=20))
+def test_comma_list_round_trips(items):
+    values = parse_value(",".join(repr(x) for x in items))
+    assert values == items
+    assert [type(v) for v in values] == [type(x) for x in items]
+
+
+@pytest.mark.parametrize("text", ["log:0:1:5", "log:1:10:0", "log:1:10", "1:2:0", "1:2:-1", "1:2"])
+def test_bad_ranges_are_config_errors(text):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(f"sweep.epsilon = {text}")
+    assert info.value.key == "sweep.epsilon" and info.value.line == 1
