@@ -55,6 +55,8 @@ rad/us and times are us.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -71,7 +73,24 @@ TWO_PI = 2.0 * np.pi
 # five-level ordering (matches the qubit ordering (|1>, |0>) downstream)
 LVL_1, LVL_0, LVL_R, LVL_S, LVL_T = 0, 1, 2, 3, 4
 
+#: atomic parity of each level in that ordering: - on |1> and |r>
+_ATOM_PARITY = np.array([-1.0, 1.0, -1.0, 1.0, 1.0])
+
 _DETUNING_RATIO_WARN = 20.0
+_DETUNINGS = ("Delta_r", "Delta_s", "Delta_t")
+_COUPLINGS = ("Omega_r1", "Omega_s1", "Omega_t1", "Omega_r2", "Omega_s2", "Omega_t2",
+              "g_r", "g_s", "kappa1", "kappa2", "gamma_r", "gamma_s", "gamma_t")
+
+
+def _outside_stacklevel() -> int:
+    """``stacklevel`` of the nearest caller outside this module, dataclasses
+    and generated code (a dataclass ``__init__``), for a warning issued by
+    the function that calls this one."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and (frame.f_code.co_filename in (__file__, dataclasses.__file__)
+                                 or frame.f_code.co_filename.startswith("<")):
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -114,18 +133,15 @@ class PhysicalParams:
             raise InvalidParams("detunings must be nonzero")
         if min(self.gamma_r, self.gamma_s, self.gamma_t) < 0:
             raise InvalidParams("linewidths must be non-negative")
-        small = min(abs(self.Delta_r), abs(self.Delta_s), abs(self.Delta_t))
-        big = max(
-            abs(self.Omega_r1), abs(self.Omega_s1), abs(self.Omega_t1),
-            abs(self.Omega_r2), abs(self.Omega_s2), abs(self.Omega_t2),
-            self.g_r, self.g_s, self.kappa1, self.kappa2,
-            self.gamma_r, self.gamma_s, self.gamma_t, 1e-300,
-        )
-        if small / big < _DETUNING_RATIO_WARN:
+        name_d, delta = min(((n, abs(getattr(self, n))) for n in _DETUNINGS), key=lambda x: x[1])
+        name_c, coupling = max(((n, abs(getattr(self, n))) for n in _COUPLINGS), key=lambda x: x[1])
+        if delta < _DETUNING_RATIO_WARN * coupling:
             warnings.warn(
-                f"detuning/coupling ratio {small / big:.1f} < {_DETUNING_RATIO_WARN:g}: "
+                f"smallest detuning |{name_d}| = {delta:g} MHz is only {delta / coupling:.1f} "
+                f"times the largest coupling |{name_c}| = {coupling:g} MHz "
+                f"(< {_DETUNING_RATIO_WARN:g}): "
                 "outside the large-detuning regime the two-level reduction assumes",
-                stacklevel=2,
+                stacklevel=_outside_stacklevel(),
             )
 
     @classmethod
@@ -306,6 +322,18 @@ class ModelSpace:
     def dim(self) -> int:
         return self.atom_levels ** 2 * self.nph ** 2
 
+    @property
+    def parity(self) -> np.ndarray:
+        """P = (-1)^(n1 + n2) pi1 pi2 on each basis state (+-1 vector).
+
+        Every coupling of both tiers flips the atomic parity and the photon
+        number together, and every jump flips or keeps P, so P is a weak
+        symmetry of the generators (checked when they are built).
+        """
+        atom = _ATOM_PARITY[: self.atom_levels]
+        photon = (-1.0) ** np.arange(self.nph)
+        return np.kron(np.kron(atom, atom), np.kron(photon, photon))
+
 
 # ---------------------------------------------------------------------------
 # sparse operator helpers
@@ -387,7 +415,8 @@ def build_effective_liouvillian(p: PhysicalParams, space: ModelSpace) -> Liouvil
         + 4.0 * max(abs(b) for b in d.beta_r + d.beta_s) * np.sqrt(n)
     )
     return liouvillian_from_operators(
-        h, d2, cascade, rate_scale, stiff_rate, {"tier": "effective", "space": space}
+        h, d2, cascade, rate_scale, stiff_rate,
+        {"tier": "effective", "space": space, "parity": space.parity},
     )
 
 
@@ -459,7 +488,8 @@ def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianA
         + 2.0 * abs(delta_1) + om_max + 2.0 * max(p.g_r, p.g_s) * np.sqrt(n)
     )
     return liouvillian_from_operators(
-        h, d2_cav + d2, cascade, rate_scale, stiff_rate, {"tier": "full", "space": space}
+        h, d2_cav + d2, cascade, rate_scale, stiff_rate,
+        {"tier": "full", "space": space, "parity": space.parity},
     )
 
 

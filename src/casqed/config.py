@@ -11,7 +11,7 @@ expressions ``lo:hi:step`` (inclusive of both ends up to rounding) and
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,6 @@ class ExperimentConfig:
     sweep_a_over_b: list
     sweep_epsilon: list
     sweep_Y: list
-    raw: dict = field(default_factory=dict)
     sha256: str = ""
 
     def require_physical(self) -> dict:
@@ -234,7 +233,6 @@ def validate_config(raw: dict, text: str = "") -> ExperimentConfig:
         t_max_us=t_max_us, n_points=n_points,
         rel_tol=rel_tol, abs_tol=abs_tol, ss_tol=ss_tol,
         sweep_a_over_b=sweep_a_over_b, sweep_epsilon=sweep_epsilon, sweep_Y=sweep_Y,
-        raw=dict(raw),
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
 

@@ -22,10 +22,17 @@ and the steady state remain accurate, because every eigenmode of the
 generator is propagated independently.  Builders advertise their fast
 scale via ``stiff_rate`` and the integrator caps the step accordingly.
 
-Steady states of every tier are solved directly: GMRES on the
-trace-bordered generator, right-preconditioned by the inverse of the
-shifted no-jump part, which is a Sylvester equation solved by
-Bartels-Stewart on one Schur form.  Long-time relaxation remains as an
+Steady states of every tier are solved directly.  Each builder declares
+a parity P (a +-1 vector on the basis states) that
+:func:`liouvillian_from_operators` checks to be a weak symmetry, so the
+generator maps the even sector (rho++ + rho--) and the odd sector
+(rho+- + rho-+) each into itself, and the steady state is even.  GMRES
+solves the trace-bordered generator on the even sector alone,
+right-preconditioned by the inverse of the shifted no-jump part: a
+Sylvester equation per parity block, solved by Bartels-Stewart with one
+Schur form per block and a recursive blocked triangular solve
+(:class:`ShiftedNoJumpInverse`).  Two probes, one per sector, check that
+no other eigenvalue sits at zero.  Long-time relaxation remains as an
 independent check.
 """
 
@@ -44,6 +51,7 @@ from .errors import (
     DegenerateSteadyState,
     DimensionMismatch,
     IntegrationError,
+    ParityError,
 )
 from .linalg import dagger, unvec
 
@@ -63,8 +71,9 @@ class LiouvillianAction:
     damping rate used to scale residual tolerances; ``stiff_rate``
     bounds the fastest frequency in the generator (0 for non-stiff
     models).  Generators built by :func:`liouvillian_from_operators`
-    keep their operators in ``meta["operators"]`` and their sparse
-    superoperator in ``meta["sparse_superop"]``.
+    keep their operators in ``meta["operators"]``, their sparse
+    superoperator in ``meta["sparse_superop"]`` and their parity in
+    ``meta["parity"]``.
     """
 
     dim: int
@@ -134,6 +143,37 @@ def no_jump_generator(h, d2_channels, cascade) -> np.ndarray:
     return k.toarray()
 
 
+def _parity_of(op, parity: np.ndarray) -> int:
+    """+1 or -1 when ``op`` maps the P = +1 and P = -1 states each into one
+    sector (even or odd operator), 0 for a zero operator.
+
+    ``parity`` holds P's eigenvalue on each basis state; raises
+    :class:`ParityError` when ``op`` mixes even and odd parts.
+    """
+    op = sp.coo_matrix(op)
+    signs = np.unique((parity[op.row] * parity[op.col])[op.data != 0])
+    if signs.size > 1:
+        raise ParityError("operator has no definite parity")
+    return int(signs[0]) if signs.size else 0
+
+
+def _check_parity(parity, h, d2_channels, cascade) -> None:
+    """Raise :class:`ParityError` unless rho -> P rho P is a weak symmetry.
+
+    Every jump (each c, and a1 and a2 of the cascade) must have a definite
+    parity, a1 and a2 the same one, and H must be even.  Then c+ c and
+    a2+ a1 are even, so K = -iH - sum rate c+ c - q a2+ a1 is
+    block-diagonal, and L maps each sector into itself.
+    """
+    if _parity_of(h, parity) < 0:
+        raise ParityError("the Hamiltonian, and so K, is not block-diagonal in the declared parity")
+    for _, c in d2_channels:
+        _parity_of(c, parity)
+    _, a1, a2 = cascade
+    if _parity_of(a1, parity) * _parity_of(a2, parity) < 0:
+        raise ParityError("the cascade operators a1 and a2 have opposite parity")
+
+
 def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
                                stiff_rate: float = 0.0, meta=None) -> LiouvillianAction:
     """The generator of a cascaded master equation, from its operators.
@@ -143,17 +183,24 @@ def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
     :func:`_superoperator`; dense or sparse operators both work.  The
     operators are kept in ``meta["operators"]`` for the steady-state
     solver and the superoperator in ``meta["sparse_superop"]``.
+
+    ``meta["parity"]`` declares a parity P as its +-1 eigenvalue on each
+    basis state (all +1 when absent); it is checked to be a weak symmetry
+    (see :func:`_check_parity`), which the steady-state solver relies on.
     """
+    dim = h.shape[0]
+    meta = dict(meta or {})
+    parity = meta.setdefault("parity", np.ones(dim))
+    _check_parity(parity, h, d2_channels, cascade)
     lsp = _superoperator(h, d2_channels, cascade)
 
     def matvec(v):
         return lsp @ v
 
-    meta = dict(meta or {})
     meta["sparse_superop"] = lsp
     meta["operators"] = (h, d2_channels, cascade)
     return LiouvillianAction(
-        dim=h.shape[0],
+        dim=dim,
         matvec=matvec,
         rate_scale=rate_scale,
         stiff_rate=stiff_rate,
@@ -167,7 +214,6 @@ class Trajectory:
 
     times: np.ndarray
     states: list
-    metrics: dict = field(default_factory=dict)
 
     def final(self) -> np.ndarray:
         return self.states[-1]
@@ -335,99 +381,198 @@ _SEP_TOL = 1e-10
 #: stalls for weakly driven full-tier points; at 1e-3 it takes 15-30
 #: iterations on the fig. 3 grid.
 _SYLVESTER_SHIFT = 1e-3
+#: triangular Sylvester blocks up to this size go to LAPACK ?trsyl whole;
+#: larger ones are split (measured: even at 100, 1.6x faster at 200, 2x at 313)
+_SYLVESTER_LEAF = 64
 #: GMRES stops at ||b - B x|| <= rtol ||b||: _GMRES_RTOL for the state,
-#: _PROBE_RTOL for the probe, which only needs the size of its solution
+#: _PROBE_RTOL for the probes, which only need the size of their solution
 _GMRES_RTOL = 1e-13
 _PROBE_RTOL = 1e-6
 #: GMRES restart length and number of restart cycles
 _GMRES_RESTART = 100
 _GMRES_CYCLES = 2
-#: seed of the traceless right-hand side of the degeneracy probe
+#: seed of the right-hand sides of the degeneracy probes
 _PROBE_SEED = 1972
-#: the probe's ||x|| / ||r|| beyond _PROBE_LIMIT / rate_scale means a second
+#: a probe's ||x|| / ||r|| beyond _PROBE_LIMIT / rate_scale means a second
 #: (near-)zero eigenvalue, as the 1e-10 separation rule of spectral_gap
 _PROBE_LIMIT = 1.0 / _SEP_TOL
 
 
-def _sylvester_inverse(k: np.ndarray, s: float) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> vec(X) with (K - s/2) X + X (K - s/2)+ = unvec(v), i.e. (A - s)^-1.
+def triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X with a+ X + X b = c, for upper triangular a (m, m) and b (n, n).
 
-    Bartels-Stewart: one complex Schur form K - s/2 = U T U+, then a
-    triangular Sylvester solve (LAPACK ?trsyl) per application.  Every
-    eigenvalue of K has Re <= 0, so T and -T+ share none and the solve is
-    well posed for s > 0.
+    Recursive blocked solve (Jonsson & Kagstrom, ACM TOMS 28, 392 (2002)):
+    the larger dimension is halved, the leading half solved first and
+    folded into the trailing half's right-hand side by one matrix product,
+    so most of the work is level-3 BLAS.  Blocks of at most
+    ``_SYLVESTER_LEAF`` on both sides go to LAPACK ?trsyl, whose a+ form
+    reads ``a`` by columns (twice as fast as the a form at these sizes).
     """
-    d = k.shape[0]
-    t, u = scipy.linalg.schur(k - 0.5 * s * np.eye(d), output="complex")
-    uh = u.conj().T
-    (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (t,))
+    m, n = c.shape
+    if max(m, n) <= _SYLVESTER_LEAF:
+        (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (a, b, c))
+        x, scale, _ = trsyl(a, b, c, trana="C", tranb="N")
+        return x / scale
+    x = np.empty_like(c)
+    if m >= n:
+        h = m // 2
+        x[:h] = triangular_sylvester(a[:h, :h], b, c[:h])
+        x[h:] = triangular_sylvester(a[h:, h:], b, c[h:] - a[:h, h:].conj().T @ x[:h])
+    else:
+        h = n // 2
+        x[:, :h] = triangular_sylvester(a, b[:h, :h], c[:, :h])
+        x[:, h:] = triangular_sylvester(a, b[h:, h:], c[:, h:] - x[:, :h] @ b[:h, h:])
+    return x
 
-    def solve(v):
-        y = uh @ v.reshape((d, d), order="F") @ u
-        x, scale, _ = trsyl(t, t, y, trana="N", tranb="C")
-        return (u @ (x / scale) @ uh).reshape(-1, order="F")
 
-    return solve
+#: the (row, column) parity blocks of rho in each sector of rho -> P rho P
+SECTOR_BLOCKS = {"even": ((0, 0), (1, 1)), "odd": ((0, 1), (1, 0))}
+
+
+class ShiftedNoJumpInverse:
+    """(A - s)^-1 with A rho = K rho + rho K+, one parity sector at a time.
+
+    ``parity`` is the +-1 vector of a weak symmetry P (see
+    :func:`liouvillian_from_operators`), so K is block-diagonal with blocks
+    K+ and K- on the P = +1 and P = -1 states.  A sector vector stacks the
+    column-stacked blocks of rho: rho++ then rho-- for ``"even"``, rho+-
+    then rho-+ for ``"odd"``; ``index[sector]`` holds their positions in
+    the column-stacked full rho.  Block (i, j) of (A - s) X = Y reads
+    (K_i - s/2) X_ij + X_ij (K_j - s/2)+ = Y_ij: Bartels-Stewart with one
+    complex Schur form K_i+ - s/2 = U_i T_i U_i+ per parity block, so
+    T_i+ Z + Z T_j = U_i+ Y_ij U_j with X_ij = U_i Z U_j+, and the recursive
+    triangular solve of :func:`triangular_sylvester`.  Every eigenvalue
+    of K has Re <= 0, so the solve is well posed for s > 0.
+    """
+
+    def __init__(self, k: np.ndarray, parity: np.ndarray, s: float):
+        d = k.shape[0]
+        idx = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+        self.schur = [scipy.linalg.schur(k[np.ix_(i, i)].conj().T - 0.5 * s * np.eye(i.size),
+                                         output="complex") for i in idx]
+        self.index = {
+            sector: np.concatenate([(idx[i][:, None] + d * idx[j][None, :]).ravel(order="F")
+                                    for i, j in blocks])
+            for sector, blocks in SECTOR_BLOCKS.items()
+        }
+
+    def solve(self, y: np.ndarray, sector: str) -> np.ndarray:
+        """The sector vector of (A - s)^-1 Y, for the sector vector ``y`` of Y."""
+        out = np.empty_like(y)
+        start = 0
+        for i, j in SECTOR_BLOCKS[sector]:
+            (ti, ui), (tj, uj) = self.schur[i], self.schur[j]
+            shape = (ui.shape[0], uj.shape[0])
+            stop = start + shape[0] * shape[1]
+            if stop > start:
+                rhs = ui.conj().T @ y[start:stop].reshape(shape, order="F") @ uj
+                x = ui @ triangular_sylvester(ti, tj, rhs) @ uj.conj().T
+                out[start:stop] = x.reshape(-1, order="F")
+            start = stop
+        return out
+
+
+class _BorderedSectors:
+    """GMRES on the parity sectors of the trace-bordered generator
+    B x = L x + w tr x, w = (rate_scale / d) I.
+
+    B maps each sector into itself, because L does and the trace lives on
+    the diagonal, which is even; on the odd sector B is L.  GMRES runs on
+    sector vectors (see :class:`ShiftedNoJumpInverse`), right-preconditioned
+    by the shifted no-jump inverse; the generator is applied through
+    ``liouvillian.matvec`` on the full vector, scattered and gathered.
+    """
+
+    def __init__(self, liouvillian: LiouvillianAction):
+        d = liouvillian.dim
+        self.dim = d
+        self.scale = liouvillian.rate_scale
+        self.rhs = liouvillian.rhs_flat()
+        self.inverse = ShiftedNoJumpInverse(
+            no_jump_generator(*liouvillian.meta["operators"]),
+            liouvillian.meta["parity"], _SYLVESTER_SHIFT * self.scale,
+        )
+        self.diag = {sector: np.flatnonzero(index % (d + 1) == 0)
+                     for sector, index in self.inverse.index.items()}
+
+    def solve(self, sector: str, b: np.ndarray, rtol: float):
+        """(x, GMRES info) for B x = b on one sector."""
+        d, inverse = self.dim, self.inverse
+        index, diag, weight = inverse.index[sector], self.diag[sector], self.scale / d
+
+        def bordered(y):
+            x = inverse.solve(y, sector)
+            full = np.zeros(d * d, dtype=complex)
+            full[index] = x
+            out = self.rhs(full)[index]
+            out[diag] += weight * x[diag].sum()
+            return out
+
+        op = spla.LinearOperator((index.size, index.size), matvec=bordered, dtype=complex)
+        y, info = spla.gmres(op, b, rtol=rtol, atol=0.0,
+                             restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES)
+        return inverse.solve(y, sector), info
+
+    def probe(self, sector: str):
+        """(||B^-1 r|| rate_scale / ||r||, GMRES info) for a seeded random r
+        on one sector, traceless on the even one; (0, 0) on an empty sector.
+        On traceless matrices B^-1 is L^-1, so the growth is large exactly
+        when L has another (near-)zero eigenvalue in that sector."""
+        size = self.inverse.index[sector].size
+        if size == 0:
+            return 0.0, 0
+        rng = np.random.default_rng(_PROBE_SEED)
+        r = rng.normal(size=size) + 1j * rng.normal(size=size)
+        diag = self.diag[sector]
+        if diag.size:
+            r[diag] -= r[diag].mean()
+        x, info = self.solve(sector, r / np.linalg.norm(r), _PROBE_RTOL)
+        return float(np.linalg.norm(x)) * self.scale, info
 
 
 def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
     """Unique trace-one state in the generator's null space.
 
     Solves (L + w tr) rho = w, w = (rate_scale / d) I, from the operators
-    in ``meta["operators"]`` (see :func:`liouvillian_from_operators`).
-    Tracing the system gives tr rho = 1 and then L rho = 0, so the bordered
-    operator B is regular exactly when the null space is one-dimensional.
-    GMRES solves it with the shifted Sylvester inverse of the no-jump part
-    as right preconditioner.  A singular B can still be consistent for w,
-    so a second solve against a fixed traceless right-hand side probes
-    the separation: its solution is L^-1 r on traceless matrices, and it
-    fails or grows past _PROBE_LIMIT / rate_scale when another eigenvalue
-    of L is (close to) zero; that raises :class:`DegenerateSteadyState`.
-    The state is returned hermitised and normalised.
+    in ``meta["operators"]`` and the parity P in ``meta["parity"]`` (see
+    :func:`liouvillian_from_operators`).  Tracing the system gives
+    tr rho = 1 and then L rho = 0, so the bordered operator B is regular
+    exactly when the null space is one-dimensional.
+
+    P is a weak symmetry, so L maps the even sector (rho++ + rho--) and the
+    odd sector (rho+- + rho-+) each into itself, and the unique steady state
+    (with P rho P, also a steady state) lies in the even one.  GMRES solves
+    B on the even sector only, right-preconditioned by the shifted no-jump
+    inverse of :class:`ShiftedNoJumpInverse`: one Schur form per parity
+    block and a recursive blocked triangular Sylvester solve.  A singular B
+    can still be consistent for w, and a second zero eigenvalue may sit in
+    either sector, so one probe per sector solves against a fixed random
+    right-hand side (traceless on the even sector): its solution is L^-1 r,
+    and it fails or grows past _PROBE_LIMIT / rate_scale when L has another
+    (near-)zero eigenvalue in that sector; that raises
+    :class:`DegenerateSteadyState`.  A generator without a declared parity
+    is all even, with an empty odd sector and no odd probe.  The state is
+    returned hermitised and normalised.
     """
     d = liouvillian.dim
-    n = d * d
-    scale = liouvillian.rate_scale
-    diag = np.arange(d) * (d + 1)
-    weight = scale / d
-    rhs = liouvillian.rhs_flat()
-    precond = _sylvester_inverse(
-        no_jump_generator(*liouvillian.meta["operators"]), _SYLVESTER_SHIFT * scale
-    )
-
-    def bordered(y):
-        x = precond(y)
-        out = rhs(x)
-        out[diag] += weight * x[diag].sum()
-        return out
-
-    op = spla.LinearOperator((n, n), matvec=bordered, dtype=complex)
-
-    def solve(b, rtol):
-        y, info = spla.gmres(op, b, rtol=rtol, atol=0.0,
-                             restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES)
-        return precond(y), info
-
-    w = np.zeros(n, dtype=complex)
-    w[diag] = weight
-    rho, info = solve(w, _GMRES_RTOL)
+    sectors = _BorderedSectors(liouvillian)
+    w = np.zeros(sectors.inverse.index["even"].size, dtype=complex)
+    w[sectors.diag["even"]] = liouvillian.rate_scale / d
+    rho_even, info = sectors.solve("even", w, _GMRES_RTOL)
     if info != 0:
         raise ConvergenceError(
             f"GMRES did not reach the steady state in {_GMRES_RESTART * _GMRES_CYCLES} iterations"
         )
-
-    rng = np.random.default_rng(_PROBE_SEED)
-    r = rng.normal(size=n) + 1j * rng.normal(size=n)
-    r[diag] -= r[diag].mean()
-    r /= np.linalg.norm(r)
-    x, info = solve(r, _PROBE_RTOL)
-    growth = float(np.linalg.norm(x)) * scale
-    if info != 0 or growth > _PROBE_LIMIT:
-        raise DegenerateSteadyState(
-            "zero eigenvalue is degenerate or not separated from the spectrum "
-            f"(probe ||L^-1 r|| rate_scale / ||r|| = {growth:.1e}"
-            + (", no convergence)" if info else ")")
-        )
+    for sector in SECTOR_BLOCKS:
+        growth, info = sectors.probe(sector)
+        if info != 0 or growth > _PROBE_LIMIT:
+            raise DegenerateSteadyState(
+                "zero eigenvalue is degenerate or not separated from the spectrum "
+                f"(probe of the {sector} sector ||L^-1 r|| rate_scale / ||r|| = {growth:.1e}"
+                + (", no convergence)" if info else ")")
+            )
+    rho = np.zeros(d * d, dtype=complex)
+    rho[sectors.inverse.index["even"]] = rho_even
     rho = unvec(rho)
     rho = (rho + dagger(rho)) / 2.0
     return rho / np.real(np.trace(rho))

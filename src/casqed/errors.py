@@ -9,6 +9,11 @@ class DimensionMismatch(CasqedError, ValueError):
     """Operator or state shapes are inconsistent with the declared space."""
 
 
+class ParityError(CasqedError, ValueError):
+    """A generator's declared parity is not a weak symmetry: an operator
+    mixes the even and odd states where it must keep them apart."""
+
+
 class NonHermitianInput(CasqedError, ValueError):
     """A matrix required to be hermitian is not, beyond tolerance."""
 

@@ -21,9 +21,17 @@ the point's reduced parameters; the cavity tiers take the qubit marginal
 of :func:`converged_steady_state`.  One writer emits CSV, SVG, manifest.
 
 Steady states of the cavity tiers come from a direct solve at each Fock
-cutoff.  Time evolution of the full tier runs at its stability limit
-(detunings of order 2 pi x 8 GHz against microsecond relaxation), so
-full-tier ``evolve`` runs are slow.
+cutoff (:func:`~casqed.dynamics.steady_state_nullspace`): GMRES on the
+even sector of the photon-plus-atom parity (-1)^(n1+n2) pi1 pi2, which
+holds half the unknowns, preconditioned by a Sylvester solve per parity
+block, with a degeneracy probe on the even and on the odd sector.  A
+fig. 3 full-tier point (cutoffs 1 to 3) takes a few seconds.  Time
+evolution of the full tier runs at its stability limit (detunings of
+order 2 pi x 8 GHz against microsecond relaxation), so full-tier
+``evolve`` runs are slow.
+
+Sweeps with ``--workers N`` send the point function, and with it the
+config, to each worker process once and the points in chunks.
 """
 
 from __future__ import annotations
@@ -383,11 +391,30 @@ def run_sweep_coop(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int =
                       ("a_over_b", "epsilon", "Y", "g_2pi_MHz", "fidelity"), points, rows, plot)
 
 
+#: the point function of a worker process, set once by _init_worker
+_worker_fn = None
+
+
+def _init_worker(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker(task):
+    return _worker_fn(task)
+
+
 def _run_points(fn, tasks, workers: int):
+    """``[fn(t) for t in tasks]``, in order, on up to ``workers`` processes.
+
+    ``fn`` (which holds the config) reaches each worker once, through the
+    pool initializer; the tasks go in about four chunks per worker.
+    """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    chunksize = max(1, len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(fn,)) as pool:
+        return list(pool.map(_call_worker, tasks, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,6 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    a = np.asarray(a)
-    scale = max(np.abs(a).max(), 1e-300)
-    return bool(np.abs(a - dagger(a)).max() <= tol * scale)
-
-
 # ---------------------------------------------------------------------------
 # hermitian eigensolver
 # ---------------------------------------------------------------------------

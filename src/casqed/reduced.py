@@ -256,13 +256,16 @@ def liouvillian_action(p: ReducedParams) -> LiouvillianAction:
     """The reduced generator in the operator form shared by every tier.
 
     No Hamiltonian, the dissipators D[R_1] and D[R_2], and the cascade
-    with q = -2 sqrt(eps): the terms of :func:`liouvillian_apply`.
+    with q = -2 sqrt(eps): the terms of :func:`liouvillian_apply`.  Both
+    jumps flip one qubit, so the parity pi_1 pi_2 (- on |1>) is a weak
+    symmetry.
     """
     r1, r2 = jump_operators(p)
+    qubit_parity = np.array([-1.0, 1.0])
     return liouvillian_from_operators(
         np.zeros((4, 4), dtype=complex),
         [(1.0, r1), (1.0, r2)],
         (-2.0 * np.sqrt(p.epsilon), r1, r2),
         rate_scale=p.rate_scale,
-        meta={"tier": "reduced"},
+        meta={"tier": "reduced", "parity": np.kron(qubit_parity, qubit_parity)},
     )

@@ -20,6 +20,11 @@ from casqed.cavity import (
     vacuum_ground_state,
 )
 from casqed.dynamics import (
+    _PROBE_LIMIT,
+    _SYLVESTER_SHIFT,
+    SECTOR_BLOCKS,
+    ShiftedNoJumpInverse,
+    _BorderedSectors,
     integrate,
     no_jump_generator,
     steady_state_nullspace,
@@ -30,6 +35,8 @@ from casqed.errors import (
     InfeasibleBalance,
     UnbalancedShifts,
 )
+from casqed import experiments
+from casqed.config import parse_config_text, validate_config
 from casqed.linalg import dagger
 from casqed.metrics import fef_fidelity
 from casqed.reduced import MatchedDrive, analytic_steady_state, liouvillian_action
@@ -85,6 +92,37 @@ def _bordered_spsolve(act):
     x = spla.spsolve(sp.vstack([trace_row, lsp[1:]]).tocsc(), rhs)
     rho = x.reshape((d, d), order="F")
     return (rho + dagger(rho)) / 2.0
+
+
+def _even_sector_spsolve(act):
+    # _bordered_spsolve on the even sector (rho++ + rho--) alone: L maps each
+    # parity sector into itself (test_parity_is_a_weak_symmetry) and the
+    # right-hand side is even, so the odd block of the LU only yields zeros;
+    # dropping it halves a full-tier LU (about 8 s at cutoff 1)
+    d = act.dim
+    even = np.flatnonzero(np.kron(act.meta["parity"], act.meta["parity"]) > 0)
+    lsp = sp.csr_matrix(act.meta["sparse_superop"])[even][:, even]
+    diag = np.flatnonzero(even % (d + 1) == 0)
+    trace_row = sp.csr_matrix(
+        (np.ones(d, dtype=complex), (np.zeros(d, dtype=int), diag)), shape=(1, even.size)
+    )
+    rhs = np.zeros(even.size, dtype=complex)
+    rhs[0] = 1.0
+    x = np.zeros(d * d, dtype=complex)
+    x[even] = spla.spsolve(sp.vstack([trace_row, lsp[1:]]).tocsc(), rhs,
+                           permc_spec="MMD_AT_PLUS_A")
+    rho = x.reshape((d, d), order="F")
+    return (rho + dagger(rho)) / 2.0
+
+
+def _tier_action(levels, cutoff, **kw):
+    if levels is None:
+        return liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
+    build = build_effective_liouvillian if levels == 2 else build_full_liouvillian
+    return build(fig3_like(**kw), ModelSpace(levels, cutoff))
+
+
+TIER_SPACES = [pytest.param(None, None, id="reduced"), (2, 1), (2, 2), (2, 3), (5, 1), (5, 2)]
 
 
 def _jump_part(rho, d2_channels, cascade):
@@ -341,6 +379,102 @@ class TestDirectSteadyState:
         act = build_effective_liouvillian(fig3_like(a_over_b=1.0), ModelSpace(2, cutoff))
         with pytest.raises(DegenerateSteadyState):
             steady_state_nullspace(act)
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("levels,cutoff", TIER_SPACES)
+    def test_parity_is_a_weak_symmetry(self, levels, cutoff):
+        act = _tier_action(levels, cutoff)
+        par = act.meta["parity"]
+        assert set(np.unique(par)) == {-1.0, 1.0}
+        h, d2, (q, a1, a2) = act.meta["operators"]
+        k = no_jump_generator(h, d2, (q, a1, a2))
+        assert np.array_equal(par[:, None] * k * par[None, :], k)   # P K P = K
+
+        def sign(op):
+            # +1 (even) or -1 (odd) when P op P = +-op
+            op = sp.csr_matrix(op).toarray()
+            pop = par[:, None] * op * par[None, :]
+            assert np.array_equal(pop, op) or np.array_equal(pop, -op)
+            return 1 if np.array_equal(pop, op) else -1
+
+        for _, c in d2:
+            sign(c)
+        assert sign(a1) == sign(a2)
+        # L keeps the even (p_i p_j = 1) and odd entries rho_ij apart
+        lsp = sp.coo_matrix(act.meta["sparse_superop"])
+        vec_par = np.kron(par, par)   # entry i + d j of vec(rho) has p_i p_j
+        nz = lsp.data != 0
+        assert np.array_equal(vec_par[lsp.row[nz]], vec_par[lsp.col[nz]])
+
+    @pytest.mark.parametrize("levels,cutoff", [(2, 2), (5, 2)])
+    def test_shifted_inverse_solves_each_sector(self, levels, cutoff):
+        # scatter (A - s)^-1 y into rho and apply K rho + rho K+ - s rho
+        # densely: it must give back y, in both sectors.  Full tier, cutoff
+        # 2: parity blocks of 113 and 112 states, past the recursion leaf
+        act = _tier_action(levels, cutoff)
+        d = act.dim
+        k = no_jump_generator(*act.meta["operators"])
+        s = _SYLVESTER_SHIFT * act.rate_scale
+        inv = ShiftedNoJumpInverse(k, act.meta["parity"], s)
+        rng = np.random.default_rng(65)
+        for sector in SECTOR_BLOCKS:
+            index = inv.index[sector]
+            y = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
+            x, yy = np.zeros(d * d, dtype=complex), np.zeros(d * d, dtype=complex)
+            x[index], yy[index] = inv.solve(y, sector), y
+            x, yy = x.reshape((d, d), order="F"), yy.reshape((d, d), order="F")
+            back = k @ x + x @ dagger(k) - s * x
+            assert np.linalg.norm(back - yy) <= 1e-12 * np.linalg.norm(k, 2) * np.linalg.norm(x)
+
+    def test_full_tier_matches_sparse_lu(self):
+        space = ModelSpace(5, 1)
+        act = build_full_liouvillian(fig3_like(), space)
+        rho = steady_state_nullspace(act)
+        assert np.linalg.norm(act.apply(rho)) <= 1e-12 * act.rate_scale
+        ref = _even_sector_spsolve(act)
+        fid = fef_fidelity(qubit_marginal(rho, space))
+        assert abs(fid - fef_fidelity(qubit_marginal(ref, space))) <= 1e-10
+
+    @pytest.mark.parametrize("levels,cutoff", [pytest.param(None, None, id="reduced"), (2, 2)])
+    def test_both_sectors_degenerate_at_matched_drive(self, levels, cutoff):
+        # a/b = 1, epsilon = 1: each sector's probe on its own flags it
+        if levels is None:
+            act = liouvillian_action(MatchedDrive(1.0, 1.0, 1.0).params())
+        else:
+            act = _tier_action(levels, cutoff, a_over_b=1.0, epsilon=1.0)
+        sectors = _BorderedSectors(act)
+        for sector in SECTOR_BLOCKS:
+            growth, _ = sectors.probe(sector)
+            assert growth > _PROBE_LIMIT     # ||L^-1 r|| > _PROBE_LIMIT / rate_scale
+        healthy = _BorderedSectors(_tier_action(2, 2))
+        for sector in SECTOR_BLOCKS:
+            assert healthy.probe(sector)[0] < 1e-3 * _PROBE_LIMIT
+
+
+class TestDetuningWarning:
+    def test_names_the_values_and_the_caller(self):
+        with pytest.warns(UserWarning) as rec:
+            p = PhysicalParams.symmetric(g=30, kappa=10, gamma=3, Delta=500,
+                                         Omega_r=66.66, Omega_s=33.33, epsilon=0.98)
+        with pytest.warns(UserWarning) as rec_balanced:
+            stark_balance(p, "compensated")   # re-built by dataclasses.replace
+        for w in (rec[0], rec_balanced[0]):
+            msg = str(w.message)
+            assert "|Delta_r| = 500 MHz" in msg and "|Omega_r1| = 66.66 MHz" in msg
+            assert "7.5 times" in msg
+            assert w.filename == __file__
+
+    def test_points_at_the_sweep_code(self):
+        text = ("model.tier = effective\nphysical.g_2pi_MHz = 30\nphysical.kappa1_2pi_MHz = 10\n"
+                "physical.gamma_2pi_MHz = 3\nphysical.Delta_2pi_MHz = 500\n"
+                "physical.Omega_s_2pi_MHz = 33.33\nphysical.a_over_b = 2\n"
+                "physical.epsilon = 0.98\n")
+        cfg = validate_config(parse_config_text(text), text=text)
+        with pytest.warns(UserWarning) as rec:
+            experiments.physical_params(cfg, a_over_b=1.5)
+        assert rec[0].filename == experiments.__file__
+        assert "|Omega_r1| = 49.995 MHz" in str(rec[0].message)   # 1.5 x 33.33
 
 
 class TestFullModel:

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from casqed.errors import ConvergenceError, DegenerateSteadyState, IntegrationError
+from casqed.errors import ConvergenceError, DegenerateSteadyState, IntegrationError, ParityError
 from casqed.dynamics import (
+    _PROBE_LIMIT,
+    _SYLVESTER_LEAF,
     LiouvillianAction,
+    _BorderedSectors,
     integrate,
+    liouvillian_from_operators,
     spectral_gap,
     steady_state_longtime,
     steady_state_nullspace,
+    triangular_sylvester,
 )
 from casqed.linalg import dagger
 from casqed.metrics import fef_fidelity
@@ -17,6 +23,7 @@ from casqed.reduced import (
     analytic_steady_state,
     dark_state,
     initial_ground_state,
+    jump_operators,
     liouvillian_action,
     liouvillian_apply,
 )
@@ -111,6 +118,70 @@ class TestSteadyStateNullspace:
         ns = steady_state_nullspace(action)
         lt = steady_state_longtime(action, initial_ground_state(), tol=1e-10)
         assert np.linalg.norm(ns - lt.rho) <= 1e-6
+
+
+class TestParity:
+    def test_broken_parity_raises(self):
+        r1, r2 = jump_operators(MatchedDrive(2.0, 1.0, 0.98).params())   # both odd
+        par = {"parity": np.kron([-1.0, 1.0], [-1.0, 1.0])}
+        zero = np.zeros((4, 4), dtype=complex)
+        cascade = (0.5, r1, r2)
+        liouvillian_from_operators(zero, [(1.0, r1)], cascade, 1.0, meta=par)
+        with pytest.raises(ParityError):   # odd Hamiltonian: K not block-diagonal
+            liouvillian_from_operators(r1 + dagger(r1), [(1.0, r1)], cascade, 1.0, meta=par)
+        with pytest.raises(ParityError):   # a jump with even and odd parts
+            liouvillian_from_operators(zero, [(1.0, r1 + np.eye(4))], cascade, 1.0, meta=par)
+        with pytest.raises(ParityError):   # cascade pair of opposite parity
+            liouvillian_from_operators(zero, [(1.0, r1)], (0.5, r1, r1 @ r2), 1.0, meta=par)
+        # undeclared: all even, which every operator is
+        act = liouvillian_from_operators(r1 + dagger(r1), [(1.0, r1 + np.eye(4))], cascade, 1.0)
+        assert np.array_equal(act.meta["parity"], np.ones(4))
+
+    def test_undeclared_parity_gives_the_same_state(self):
+        declared = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
+        ops = declared.meta["operators"]
+        plain = liouvillian_from_operators(*ops, rate_scale=declared.rate_scale)
+        assert _BorderedSectors(plain).inverse.index["odd"].size == 0
+        rho = steady_state_nullspace(plain)
+        assert np.abs(rho - steady_state_nullspace(declared)).max() <= 1e-13
+
+    def test_odd_sector_degeneracy_detected(self):
+        # D[sigma_x] on a qubit with P = sigma_z: the even sector relaxes to
+        # I/2, but sigma_x (odd) is a second steady state
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        zero = np.zeros((2, 2), dtype=complex)
+        act = liouvillian_from_operators(zero, [(1.0, sx)], (0.0, zero, zero), 1.0,
+                                         meta={"parity": np.array([1.0, -1.0])})
+        sectors = _BorderedSectors(act)
+        assert sectors.probe("even")[0] < 1e-6 * _PROBE_LIMIT
+        assert sectors.probe("odd")[0] > _PROBE_LIMIT
+        with pytest.raises(DegenerateSteadyState, match="odd sector"):
+            steady_state_nullspace(act)
+
+
+def _schur_upper(rng, k):
+    # the triangular factor of a matrix with spectrum near -2.5, as the
+    # shifted no-jump generators have (Re <= -s/2)
+    g = (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) / np.sqrt(2 * k)
+    return scipy.linalg.schur(g - 2.5 * np.eye(k), output="complex")[0]
+
+
+class TestTriangularSylvester:
+    @pytest.mark.parametrize("m,n", [
+        (7, 12), (_SYLVESTER_LEAF, _SYLVESTER_LEAF), (_SYLVESTER_LEAF + 1, 9),
+        (30, 2 * _SYLVESTER_LEAF + 5), (3 * _SYLVESTER_LEAF, 3 * _SYLVESTER_LEAF - 1),
+    ])
+    def test_matches_trsyl(self, m, n):
+        rng = np.random.default_rng(1000 * m + n)
+        a, b = _schur_upper(rng, m), _schur_upper(rng, n)
+        c = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (a,))
+        ref, scale, info = trsyl(a, b, c, trana="C", tranb="N")
+        assert info == 0
+        ref = ref / scale
+        x = triangular_sylvester(a, b, c)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(dagger(a) @ x + x @ b - c) <= 1e-13 * np.linalg.norm(c)
 
 
 class TestMatvecIsTheGenerator:
