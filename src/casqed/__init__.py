@@ -9,7 +9,7 @@ Three model tiers of the same physical system:
 * ``full``      -- five-level atoms with cavity dynamics and spontaneous
   emission (:mod:`casqed.cavity`).
 
-Supporting layers: dense complex tensor algebra (:mod:`casqed.linalg`),
+Supporting layers: complex tensor algebra (:mod:`casqed.linalg`),
 adaptive integration and steady-state solvers (:mod:`casqed.dynamics`),
 two-qubit entanglement metrics (:mod:`casqed.metrics`) and a
 configuration-driven experiment CLI (:mod:`casqed.cli`).
@@ -17,7 +17,7 @@ configuration-driven experiment CLI (:mod:`casqed.cli`).
 
 __version__ = "0.1.0"
 
-from .linalg import TensorSpace, dagger, embed_at, hermitian_eigen, kron, partial_trace
+from .linalg import TensorSpace, dagger, embed_at, hermitian_eigen, partial_trace
 from .reduced import (
     MatchedDrive,
     ReducedParams,
@@ -30,18 +30,17 @@ from .dynamics import (
     LiouvillianAction,
     Trajectory,
     integrate,
-    spectral_gap,
     steady_state_longtime,
     steady_state_nullspace,
 )
-from .metrics import MetricReport, concurrence, fef_fidelity, fef_oracle, purity, vn_entropy
+from .metrics import concurrence, fef_fidelity, fef_oracle, purity, vn_entropy
 
 __all__ = [
-    "TensorSpace", "dagger", "embed_at", "hermitian_eigen", "kron", "partial_trace",
+    "TensorSpace", "dagger", "embed_at", "hermitian_eigen", "partial_trace",
     "MatchedDrive", "ReducedParams", "analytic_steady_state", "bell_states", "dark_state",
     "ModelSpace", "PhysicalParams", "derive_params", "stark_balance",
-    "LiouvillianAction", "Trajectory", "integrate", "spectral_gap",
+    "LiouvillianAction", "Trajectory", "integrate",
     "steady_state_longtime", "steady_state_nullspace",
-    "MetricReport", "concurrence", "fef_fidelity", "fef_oracle", "purity", "vn_entropy",
+    "concurrence", "fef_fidelity", "fef_oracle", "purity", "vn_entropy",
     "__version__",
 ]

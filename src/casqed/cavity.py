@@ -65,7 +65,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch, InfeasibleBalance, InvalidParams, UnbalancedShifts
 from .dynamics import LiouvillianAction, liouvillian_from_operators
-from .linalg import TensorSpace, dagger, partial_trace
+from .linalg import TensorSpace, dagger, embed_at, partial_trace
 from .reduced import ReducedParams
 
 TWO_PI = 2.0 * np.pi
@@ -180,8 +180,7 @@ class DerivedParams:
     """Second-order parameters of the two-level reduction (MHz).
 
     beta: Raman rates g_k Omega_ki / (2 Delta_k); alpha: laser light
-    shifts |Omega|^2/(4 Delta); eta: photon shifts g^2/Delta; Y: the
-    cooperativity g^2/(kappa gamma).
+    shifts |Omega|^2/(4 Delta); eta: photon shifts g^2/Delta.
     """
 
     beta_r: tuple
@@ -191,16 +190,12 @@ class DerivedParams:
     alpha_t: tuple
     eta_r: float
     eta_s: float
-    Y: float
 
 
 def derive_params(p: PhysicalParams) -> DerivedParams:
     om_r = (p.Omega_r1, p.Omega_r2)
     om_s = (p.Omega_s1, p.Omega_s2)
     om_t = (p.Omega_t1, p.Omega_t2)
-    g_eff = np.sqrt(p.g_r * p.g_s)
-    kap_eff = np.sqrt(p.kappa1 * p.kappa2)
-    gam = p.gamma_r if p.gamma_r > 0 else max(p.gamma_s, p.gamma_t)
     return DerivedParams(
         beta_r=tuple(p.g_r * o / (2.0 * p.Delta_r) for o in om_r),
         beta_s=tuple(p.g_s * o / (2.0 * p.Delta_s) for o in om_s),
@@ -209,7 +204,6 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
         alpha_t=tuple(abs(o) ** 2 / (4.0 * p.Delta_t) for o in om_t),
         eta_r=p.g_r ** 2 / p.Delta_r,
         eta_s=p.g_s ** 2 / p.Delta_s,
-        Y=float(g_eff ** 2 / (kap_eff * gam)) if gam > 0 else np.inf,
     )
 
 
@@ -347,14 +341,6 @@ def _sp_unit(n: int, i: int, j: int) -> sp.csr_matrix:
     return sp.csr_matrix(([1.0 + 0j], ([i], [j])), shape=(n, n))
 
 
-def _sp_embed(op, site: int, dims) -> sp.csr_matrix:
-    out = sp.identity(1, format="csr", dtype=complex)
-    for k, d in enumerate(dims):
-        factor = op if k == site else sp.identity(d, format="csr", dtype=complex)
-        out = sp.kron(out, factor, format="csr")
-    return out
-
-
 def _cavity_channels(p: PhysicalParams, a1, a2):
     d2 = [(TWO_PI * p.kappa1, a1), (TWO_PI * p.kappa2, a2)]
     cascade = (2.0 * TWO_PI * np.sqrt(p.epsilon * p.kappa1 * p.kappa2), a1, a2)
@@ -385,17 +371,17 @@ def build_effective_liouvillian(p: PhysicalParams, space: ModelSpace) -> Liouvil
                 f"atom {i + 1}: differential ground shift {r:g} MHz; run stark_balance first"
             )
 
-    dims = space.tensor_space.factor_dims
+    ts = space.tensor_space
     n = space.nph
     sm = _sp_unit(2, LVL_0, LVL_1)   # |0><1| on the (|1>, |0>) basis
-    a_ops = [_sp_embed(_sp_destroy(n), 2 + i, dims) for i in range(2)]
+    a_ops = [embed_at(_sp_destroy(n), 2 + i, ts) for i in range(2)]
 
     h = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for i in range(2):
-        sm_i = _sp_embed(sm, i, dims)
+        sm_i = embed_at(sm, i, ts)
         sp_i = sm_i.conj().T
-        p1_i = _sp_embed(_sp_unit(2, LVL_1, LVL_1), i, dims)
-        p0_i = _sp_embed(_sp_unit(2, LVL_0, LVL_0), i, dims)
+        p1_i = embed_at(_sp_unit(2, LVL_1, LVL_1), i, ts)
+        p0_i = embed_at(_sp_unit(2, LVL_0, LVL_0), i, ts)
         a_i = a_ops[i]
         n_i = (a_i.conj().T @ a_i).tocsr()
         coupling = d.beta_r[i] * (a_i.conj().T @ sm_i) + d.beta_s[i] * (a_i.conj().T @ sp_i)
@@ -437,9 +423,9 @@ def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianA
             raise ValueError(f"{name} must be finite to define the rotating frame")
     delta_1, delta_c = _frame_offsets(p)
 
-    dims = space.tensor_space.factor_dims
+    ts = space.tensor_space
     n = space.nph
-    a_ops = [_sp_embed(_sp_destroy(n), 2 + i, dims) for i in range(2)]
+    a_ops = [embed_at(_sp_destroy(n), 2 + i, ts) for i in range(2)]
     omegas = {
         LVL_R: (p.Omega_r1, p.Omega_r2),
         LVL_S: (p.Omega_s1, p.Omega_s2),
@@ -461,18 +447,18 @@ def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianA
         a_i = a_ops[i]
         for lvl, e in level_energy.items():
             if e != 0.0:
-                h = h + TWO_PI * e * _sp_embed(_sp_unit(5, lvl, lvl), i, dims)
+                h = h + TWO_PI * e * embed_at(_sp_unit(5, lvl, lvl), i, ts)
         for lvl, oms in omegas.items():
-            v = 0.5 * oms[i] * _sp_embed(_sp_unit(5, lvl, drive_to[lvl]), i, dims)
+            v = 0.5 * oms[i] * embed_at(_sp_unit(5, lvl, drive_to[lvl]), i, ts)
             h = h + TWO_PI * (v + v.conj().T)
-        gr = p.g_r * _sp_embed(_sp_unit(5, LVL_R, LVL_0), i, dims) @ a_i
-        gs = p.g_s * _sp_embed(_sp_unit(5, LVL_S, LVL_1), i, dims) @ a_i
+        gr = p.g_r * embed_at(_sp_unit(5, LVL_R, LVL_0), i, ts) @ a_i
+        gs = p.g_s * embed_at(_sp_unit(5, LVL_S, LVL_1), i, ts) @ a_i
         h = h + TWO_PI * (gr + gr.conj().T + gs + gs.conj().T)
         for lvl, gam in gammas.items():
             if gam > 0:
                 for gnd in (LVL_0, LVL_1):
                     d2.append(
-                        (TWO_PI * gam / 4.0, _sp_embed(_sp_unit(5, gnd, lvl), i, dims))
+                        (TWO_PI * gam / 4.0, embed_at(_sp_unit(5, gnd, lvl), i, ts))
                     )
     if delta_c != 0.0:
         for a in a_ops:
@@ -500,10 +486,10 @@ def output_flux_operator(p: PhysicalParams, space: ModelSpace) -> np.ndarray:
     coupling the dark steady state gives zero flux; at epsilon = 0 the
     operator reduces to the bare cavity-2 output 2 kappa2 a2+ a2.
     """
-    dims = space.tensor_space.factor_dims
+    ts = space.tensor_space
     n = space.nph
-    a1 = _sp_embed(_sp_destroy(n), 2, dims)
-    a2 = _sp_embed(_sp_destroy(n), 3, dims)
+    a1 = embed_at(_sp_destroy(n), 2, ts)
+    a2 = embed_at(_sp_destroy(n), 3, ts)
     c = np.sqrt(2.0 * TWO_PI * p.epsilon * p.kappa1) * a1 + np.sqrt(2.0 * TWO_PI * p.kappa2) * a2
     return np.asarray((c.conj().T @ c).todense())
 

@@ -140,6 +140,8 @@ def _coop_g(phys: dict, Y: float) -> float:
     """g at the cooperativity Y = g^2 / (kappa1 gamma)."""
     if phys["gamma"] <= 0:
         raise ConfigError("sweep-coop needs physical.gamma_2pi_MHz > 0", key="physical.gamma_2pi_MHz")
+    if Y <= 0:
+        raise ConfigError(f"sweep.Y must be > 0, got {Y:g}", key="sweep.Y")
     return float(np.sqrt(Y * phys["kappa1"] * phys["gamma"]))
 
 
@@ -442,7 +444,10 @@ def run_steady(cfg: ExperimentConfig, out=print):
 
 def run_metrics(dm_path, out=print):
     """Metrics of a stored two-qubit density matrix, as CSV on stdout."""
-    rho = read_dm(dm_path)
+    try:
+        rho = read_dm(dm_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read density matrix: {exc}") from exc
     if rho.shape != (4, 4):
         raise ConfigError(f"metrics needs a 4x4 two-qubit state, got {rho.shape}")
     header = METRIC_COLUMNS[:4]  # no model context, so no flux column

@@ -1,10 +1,11 @@
-"""Dense complex linear algebra over tensor-product spaces.
+"""Complex linear algebra over tensor-product spaces.
 
 States and operators on the joint space are plain ``numpy`` complex
 arrays: operators are 2-d arrays, state vectors are 1-d arrays, and a
 :class:`TensorSpace` records how a joint space factors into subsystems.
-(Generators, which act on dim^2-long vectors, are sparse; see
-:mod:`casqed.dynamics`.)
+The one factor lift, :func:`embed_at`, is sparse: every model builder
+assembles its operators from it as CSR matrices.  (Generators, which act
+on dim^2-long vectors, are sparse too; see :mod:`casqed.dynamics`.)
 
 Vectorization uses the column-stacking convention, under which
 ``vec(A @ rho @ B) == kron(B.T, A) @ vec(rho)``.  That identity is the
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonHermitianInput
 
@@ -43,10 +45,6 @@ class TensorSpace:
     def dim(self) -> int:
         return int(np.prod(self.factor_dims))
 
-    @property
-    def nfactors(self) -> int:
-        return len(self.factor_dims)
-
 
 def asmatrix(a) -> np.ndarray:
     """Coerce to a 2-d complex128 array."""
@@ -61,25 +59,13 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a)).T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product of two operators."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def kron_all(*ops) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
-
-
-def embed_at(op: np.ndarray, site: int, space: TensorSpace) -> np.ndarray:
-    """Lift a single-subsystem operator to the joint space.
+def embed_at(op, site: int, space: TensorSpace) -> sp.csr_matrix:
+    """Lift a single-subsystem operator to the joint space, as CSR.
 
     Acts as ``op`` on factor ``site`` and as the identity on every other
-    factor.
+    factor.  ``op`` may be dense or sparse; a sparse one is never densified.
     """
-    op = asmatrix(op)
+    op = op if sp.issparse(op) else sp.csr_matrix(asmatrix(op))
     dims = space.factor_dims
     if not 0 <= site < len(dims):
         raise DimensionMismatch(f"site {site} out of range for {dims}")
@@ -87,9 +73,11 @@ def embed_at(op: np.ndarray, site: int, space: TensorSpace) -> np.ndarray:
         raise DimensionMismatch(
             f"operator shape {op.shape} does not match factor dim {dims[site]}"
         )
-    factors = [np.eye(d, dtype=complex) for d in dims]
-    factors[site] = op
-    return kron_all(*factors)
+    out = sp.identity(1, format="csr", dtype=complex)
+    for k, d in enumerate(dims):
+        factor = op if k == site else sp.identity(d, format="csr", dtype=complex)
+        out = sp.kron(out, factor, format="csr")
+    return out
 
 
 def partial_trace(rho: np.ndarray, space: TensorSpace, keep) -> np.ndarray:
@@ -120,10 +108,6 @@ def partial_trace(rho: np.ndarray, space: TensorSpace, keep) -> np.ndarray:
         nleft -= 1
     dkeep = int(np.prod([dims[k] for k in keep]))
     return t.reshape(dkeep, dkeep)
-
-
-def frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +183,14 @@ def write_dm(path, rho: np.ndarray) -> None:
 def read_dm(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != "dm":
+        if len(header) != 2 or header[0] != "dm" or not header[1].isdigit():
             raise DimensionMismatch(f"{path}: missing 'dm <n>' header")
         n = int(header[1])
-        rho = np.empty((n, n), dtype=complex)
+        rows = []
         for i in range(n):
             vals = fh.readline().split()
             if len(vals) != 2 * n:
                 raise DimensionMismatch(f"{path}: row {i} has {len(vals)} fields, expected {2 * n}")
             row = np.array([float(x) for x in vals])
-            rho[i] = row[0::2] + 1j * row[1::2]
-    return rho
+            rows.append(row[0::2] + 1j * row[1::2])
+    return np.array(rows, dtype=complex).reshape(n, n)

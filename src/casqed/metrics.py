@@ -15,8 +15,6 @@ tolerance, trust the oracle and investigate; do not patch either one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDensityMatrix
@@ -56,9 +54,10 @@ def _validated(rho, dim=None) -> np.ndarray:
         raise InvalidDensityMatrix(f"expected a square matrix, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvalidDensityMatrix(f"expected a {dim}x{dim} density matrix, got {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
+    # "not <=": a NaN entry makes the trace or the hermiticity defect NaN
+    if not abs(np.trace(rho) - 1.0) <= _TRACE_TOL:
         raise InvalidDensityMatrix(f"trace {np.trace(rho)} is not 1 within {_TRACE_TOL}")
-    if np.abs(rho - dagger(rho)).max() > _HERM_TOL:
+    if not np.abs(rho - dagger(rho)).max() <= _HERM_TOL:
         raise InvalidDensityMatrix("matrix is not hermitian within tolerance")
     if eigvalsh_min(rho) < -_NEG_TOL:
         raise InvalidDensityMatrix("matrix has an eigenvalue below the positivity gate")
@@ -172,31 +171,3 @@ def output_flux(rho, flux_operator) -> float:
     if val < -1e-12:
         raise InvalidDensityMatrix(f"flux {val} is negative beyond tolerance")
     return val
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Metric bundle for one state; flux only when a model supplies it."""
-
-    fidelity: float
-    concurrence: float
-    entropy_bits: float
-    purity: float
-    flux_per_us: float | None = None
-
-    def as_row(self) -> list[float]:
-        row = [self.fidelity, self.concurrence, self.entropy_bits, self.purity]
-        if self.flux_per_us is not None:
-            row.append(self.flux_per_us)
-        return row
-
-
-def metric_report(rho, flux=None) -> MetricReport:
-    """Compute all two-qubit metrics for a 4x4 density matrix."""
-    return MetricReport(
-        fidelity=fef_fidelity(rho),
-        concurrence=concurrence(rho),
-        entropy_bits=vn_entropy(rho),
-        purity=purity(rho),
-        flux_per_us=flux,
-    )

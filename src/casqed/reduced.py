@@ -124,7 +124,7 @@ def jump_operators(p: ReducedParams):
     """The two effective jump operators R_1, R_2 on the joint space."""
     r1 = (p.beta_r1 * SIGMA_MINUS + p.beta_s1 * SIGMA_PLUS) / np.sqrt(p.kappa1)
     r2 = (p.beta_r2 * SIGMA_MINUS + p.beta_s2 * SIGMA_PLUS) / np.sqrt(p.kappa2)
-    return embed_at(r1, 0, TWO_QUBITS), embed_at(r2, 1, TWO_QUBITS)
+    return embed_at(r1, 0, TWO_QUBITS).toarray(), embed_at(r2, 1, TWO_QUBITS).toarray()
 
 
 def _dissipator(c: np.ndarray, rho: np.ndarray) -> np.ndarray:

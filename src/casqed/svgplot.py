@@ -39,8 +39,9 @@ def _ticks(lo: float, hi: float, n: int = 5):
 def line_plot(path, series, title="", xlabel="", ylabel="", logx=False) -> None:
     """Write a line plot to ``path``.
 
-    ``series`` is a list of (label, xs, ys) triples; points with
-    non-finite y are skipped (they break the polyline).
+    ``series`` is a list of (label, xs, ys) triples; points with a
+    non-finite x or y are skipped, and the polyline joins the finite
+    points on either side of them.
     """
     xs_all, ys_all = [], []
     for _, xs, ys in series:

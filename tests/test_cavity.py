@@ -143,7 +143,9 @@ class TestDeriveParams:
         d = derive_params(p)
         assert abs(d.beta_s[0] - 0.6875) < 1e-12          # g Omega_s / (2 Delta)
         assert abs(d.eta_r - 1.5125) < 1e-12              # g^2 / Delta
-        assert abs(d.Y - 110.0**2 / (14.2 * 5.2)) < 1e-9  # ~163.87
+        # the cooperativity Y = g^2 / (kappa1 gamma) ~163.87 gives back g
+        phys = {"kappa1": p.kappa1, "gamma": p.gamma_r}
+        assert abs(experiments._coop_g(phys, 110.0**2 / (14.2 * 5.2)) - p.g_r) < 1e-9
         assert abs(d.beta_r[0] - 2 * d.beta_s[0]) < 1e-12
 
     def test_zero_drive(self):
@@ -549,7 +551,7 @@ class TestFluxAndMarginals:
         from casqed.linalg import TensorSpace, embed_at
 
         ts = space.tensor_space
-        a2 = embed_at(np.diag([np.sqrt(1.0)], 1).astype(complex), 3, ts)
+        a2 = embed_at(np.diag([np.sqrt(1.0)], 1).astype(complex), 3, ts).toarray()
         n2 = dagger(a2) @ a2
         assert_allclose(op, 2 * 2 * np.pi * p.kappa2 * n2, atol=1e-12)
 

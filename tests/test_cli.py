@@ -1,11 +1,16 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 from test_experiments import WEAK_FULL
 
 from casqed import cli
 from casqed.config import load_config
 from casqed.errors import ConfigError
+from casqed.linalg import write_dm
+from casqed.metrics import METRIC_COLUMNS, concurrence, fef_fidelity, purity, vn_entropy
+from casqed.reduced import MatchedDrive, analytic_steady_state
 
 FIG3 = """\
 model.tier = effective
@@ -67,6 +72,9 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
     pytest.param(with_key(REDUCED_COOP, "physical.gamma_2pi_MHz", 0), id="zero-gamma"),
     # the closed form holds only for beta_i proportional to sqrt(kappa_i)
     pytest.param(with_key(REDUCED_COOP, "physical.kappa2_2pi_MHz", 28.4), id="unmatched-closed-form"),
+    # g = sqrt(Y kappa1 gamma) needs Y > 0
+    pytest.param(with_key(REDUCED_COOP, "sweep.Y", "0,1"), id="zero-Y"),
+    pytest.param(with_key(REDUCED_COOP, "sweep.Y", "-1,1"), id="negative-Y"),
 ])
 def test_bad_coop_config_exits_2_before_any_point(tmp_path, capsys, text):
     assert run(tmp_path, text, "sweep-coop") == 2
@@ -170,3 +178,76 @@ def test_failed_point_reads_nan_and_exits_1(tmp_path, capsys):
     bad, good = json.loads((tmp_path / "out" / "manifest.json").read_text())["points"]
     assert bad["converged"] is False and bad["error"].startswith("DegenerateParams: ")
     assert good == {"a_over_b": 2.0, "epsilon": 1.0, "converged": True}
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="missing-file"),
+    pytest.param("dm x\n", id="bad-header"),
+    pytest.param("dm 2\n1 0 0 0\n", id="short-row"),
+    # a size the file cannot hold is not allocated before its rows are read
+    pytest.param("dm 99999999999\n", id="huge-header"),
+])
+def test_bad_dm_file_exits_2_with_one_line(tmp_path, capsys, content):
+    path = tmp_path / "state.dm"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["metrics", "--dm", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+REDUCED_EVOLVE = "model.tier = reduced\ntime.t_max_us = 1\ntime.n_points = 5\n"
+
+
+def test_evolve_writes_csv_manifest_and_svg(tmp_path):
+    assert run(tmp_path, REDUCED_EVOLVE, "evolve", "--seed", "7") == 0
+    out = tmp_path / "out"
+    lines = (out / "timeseries.csv").read_text().splitlines()
+    assert lines[0] == ",".join(("time_us", "tier") + METRIC_COLUMNS)
+    assert lines[-1] == "# manifest: manifest.json"
+    rows = [row.split(",") for row in lines[1:-1]]
+    assert [row[1] for row in rows] == ["reduced"] * 5
+    assert [float(row[0]) for row in rows] == list(np.linspace(0.0, 1.0, 5))
+    assert all(len(row) == 2 + len(METRIC_COLUMNS) for row in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest) == ["artifact_version", "config_sha256", "points", "seed", "wall_clock_s"]
+    assert manifest["config_sha256"] == hashlib.sha256(REDUCED_EVOLVE.encode()).hexdigest()
+    assert manifest["seed"] == 7
+    assert manifest["points"] == [{"tier": "reduced", "converged": True, "n_times": 5}]
+    assert (out / "timeseries.svg").exists()
+
+    again = tmp_path / "again"
+    again.mkdir()
+    assert run(again, REDUCED_EVOLVE, "evolve", "--seed", "7") == 0
+    assert (again / "out" / "timeseries.csv").read_bytes() == (out / "timeseries.csv").read_bytes()
+
+
+def test_steady_prints_a_small_frobenius_difference(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("drive.epsilon = 0.98\n")
+    assert cli.main(["steady", "--config", str(cfg)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("frobenius difference: ")
+    assert float(last.split(": ")[1]) <= 1e-12
+
+
+def test_metrics_prints_the_metrics_of_a_stored_state(tmp_path, capsys):
+    rho = analytic_steady_state(MatchedDrive(2.0, 1.0, 0.98))
+    path = tmp_path / "state.dm"
+    write_dm(path, rho)
+    assert cli.main(["metrics", "--dm", str(path)]) == 0
+    header, values = capsys.readouterr().out.splitlines()
+    assert header == ",".join(METRIC_COLUMNS[:4])
+    # write_dm round-trips exactly, so the printed values are those of rho
+    assert values == ",".join(repr(f(rho)) for f in (fef_fidelity, concurrence, vn_entropy, purity))
+
+
+def test_non_finite_dm_entry_exits_1_with_one_line(tmp_path, capsys):
+    # a NaN entry fails the density-matrix gate instead of reaching LAPACK
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 2] = rho[2, 1] = np.nan
+    path = tmp_path / "state.dm"
+    write_dm(path, rho)
+    assert cli.main(["metrics", "--dm", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

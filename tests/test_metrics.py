@@ -3,14 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from casqed.errors import DimensionMismatch, InvalidDensityMatrix
-from casqed.linalg import kron
+from casqed.experiments import TierModel, metric_row
 from casqed.metrics import (
     MAGIC_BASIS,
     METRIC_COLUMNS,
     concurrence,
     fef_fidelity,
     fef_oracle,
-    metric_report,
     output_flux,
     purity,
     vn_entropy,
@@ -70,7 +69,7 @@ class TestFefFidelity:
         # independent closed form for product states: the maximum overlap
         # is half the sorted-eigenvalue alignment of the two marginals
         rho_a = np.diag([0.2, 0.8]).astype(complex)
-        rho = kron(rho_a, rho_a)
+        rho = np.kron(rho_a, rho_a)
         expect = (0.8 * 0.8 + 0.2 * 0.2) / 2
         assert abs(fef_fidelity(rho) - expect) < 1e-12
         assert abs(fef_oracle(rho, samples=4000, seed=1) - expect) < 1e-3
@@ -89,6 +88,11 @@ class TestFefFidelity:
             fef_fidelity(np.eye(4))  # trace 4
         with pytest.raises(InvalidDensityMatrix):
             fef_fidelity(np.diag([1.5, -0.5, 0, 0]).astype(complex))
+        for bad in ((0, 0), (1, 2)):   # NaN on and off the diagonal
+            rho = np.diag([1.0, 0, 0, 0]).astype(complex)
+            rho[bad] = np.nan
+            with pytest.raises(InvalidDensityMatrix):
+                fef_fidelity(rho)
 
 
 class TestFefOracle:
@@ -160,7 +164,7 @@ class TestInvariance:
         rng = np.random.default_rng(23)
         for _ in range(20):
             rho = rand_state(rng)
-            u = kron(rand_unitary(rng), rand_unitary(rng))
+            u = np.kron(rand_unitary(rng), rand_unitary(rng))
             rho2 = u @ rho @ u.conj().T
             assert abs(fef_fidelity(rho2) - fef_fidelity(rho)) < 1e-10
             assert abs(concurrence(rho2) - concurrence(rho)) < 1e-10
@@ -190,5 +194,7 @@ class TestFluxAndReport:
 
     def test_report_columns(self):
         assert METRIC_COLUMNS == ("fidelity", "concurrence", "entropy_bits", "purity", "flux_per_us")
-        rep = metric_report(np.eye(4) / 4, flux=0.5)
-        assert_allclose(rep.as_row(), [0.25, 0.0, 2.0, 0.25, 0.5], atol=1e-12)
+        # a two-qubit model with flux operator I/2: tr(I/4 I/2) = 0.5
+        model = TierModel("reduced", None, None, np.eye(4) / 2, None)
+        row = metric_row(model, np.eye(4) / 4)
+        assert_allclose(row, [0.25, 0.0, 2.0, 0.25, 0.5], atol=1e-12)

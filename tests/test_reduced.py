@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from casqed.dynamics import steady_state_nullspace
 from casqed.errors import DegenerateParams, DimensionMismatch
-from casqed.linalg import dagger, kron, unvec, vec_stack
+from casqed.linalg import dagger, unvec, vec_stack
 from casqed.metrics import fef_fidelity, purity
 from casqed.reduced import (
     SIGMA_MINUS,
@@ -62,24 +62,24 @@ class TestParams:
 class TestJumpOperators:
     def test_matched_substitution(self):
         r1, r2 = jump_operators(MatchedDrive(2.0, 1.0, 1.0).params())
-        assert_allclose(r1, kron(2 * SIGMA_MINUS + SIGMA_PLUS, I2))
-        assert_allclose(r2, kron(I2, 2 * SIGMA_MINUS + SIGMA_PLUS))
+        assert_allclose(r1, np.kron(2 * SIGMA_MINUS + SIGMA_PLUS, I2))
+        assert_allclose(r2, np.kron(I2, 2 * SIGMA_MINUS + SIGMA_PLUS))
 
     def test_pure_decay(self):
         r1, r2 = jump_operators(MatchedDrive(1.5, 0.0, 1.0).params())
-        assert_allclose(r1, 1.5 * kron(SIGMA_MINUS, I2))
-        assert_allclose(r2, 1.5 * kron(I2, SIGMA_MINUS))
+        assert_allclose(r1, 1.5 * np.kron(SIGMA_MINUS, I2))
+        assert_allclose(r2, 1.5 * np.kron(I2, SIGMA_MINUS))
 
     def test_cross_configuration_swaps_roles(self):
         r1, r2 = jump_operators(MatchedDrive(2.0, 1.0, 1.0, cross=True).params())
-        assert_allclose(r1, kron(2 * SIGMA_MINUS + SIGMA_PLUS, I2))
-        assert_allclose(r2, kron(I2, SIGMA_MINUS + 2 * SIGMA_PLUS))
+        assert_allclose(r1, np.kron(2 * SIGMA_MINUS + SIGMA_PLUS, I2))
+        assert_allclose(r2, np.kron(I2, SIGMA_MINUS + 2 * SIGMA_PLUS))
 
     def test_kappa_scaling(self):
         p = ReducedParams(beta_r1=3.0, beta_s1=0.0, beta_r2=0.0, beta_s2=0.0,
                           kappa1=9.0, kappa2=1.0)
         r1, _ = jump_operators(p)
-        assert_allclose(r1, kron(SIGMA_MINUS, I2))
+        assert_allclose(r1, np.kron(SIGMA_MINUS, I2))
 
 
 class TestLiouvillianApply:
@@ -99,7 +99,7 @@ class TestLiouvillianApply:
         p = MatchedDrive(1.0, 0.0, 0.0).params()
         got = liouvillian_apply(p, np.eye(4, dtype=complex) / 4)
         single = np.diag([-1.0, 1.0]).astype(complex)  # |0><0|-|1><1| on (|1>,|0>)
-        expect = kron(single, I2 / 2) + kron(I2 / 2, single)
+        expect = np.kron(single, I2 / 2) + np.kron(I2 / 2, single)
         assert_allclose(got, expect, atol=1e-14)
         # cross-check through the materialized superoperator
         via_matrix = unvec(liouvillian_matrix(p) @ vec_stack(np.eye(4) / 4))
@@ -158,7 +158,7 @@ class TestAnalyticSteadyState:
         assert_allclose(np.diag(rho).real, np.array([1, 4, 4, 16]) / 25.0, atol=1e-14)
         assert np.abs(rho - np.diag(np.diag(rho))).max() == 0.0
         single = np.diag([0.2, 0.8]).astype(complex)
-        assert_allclose(rho, kron(single, single), atol=1e-14)
+        assert_allclose(rho, np.kron(single, single), atol=1e-14)
 
     def test_degenerate_point_raises(self):
         with pytest.raises(DegenerateParams):
