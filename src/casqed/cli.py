@@ -6,7 +6,8 @@
     casqed steady     --config cfg
     casqed metrics    --dm state.dm
 
-Exit codes: 0 success, 1 runtime/convergence failure, 2 config error.
+Exit codes: 0 success, 1 runtime/convergence failure, 2 config error
+(a bad config file, or a ``--dm`` file that is not a density matrix).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import KEYS, load_config
 from .errors import CasqedError, ConfigError
 from .experiments import (
     TIER_TOLS,
@@ -27,36 +28,27 @@ from .experiments import (
     run_timeseries,
 )
 
-_DEFAULTS_HELP = """\
-config file grammar: one `key = value` per line, `#` comments, dotted keys.
 
-keys and defaults:
-  experiment               optional; must match the subcommand when present
-  model.tier = reduced     reduced | effective | full (evolve accepts a comma list)
-  model.balance = compensated        compensated | raman_resonant
-  model.fock_cutoff = 2              photon states 0..cutoff per mode
-  drive.a = 2*drive.b   drive.b = 1  matched Raman amplitudes (reduced tier)
-  drive.a_over_b                     sets drive.a = a_over_b * drive.b
-  drive.epsilon                      defaults to physical.epsilon, else 1
-  drive.kappa1 = 1  drive.kappa2 = 1 cavity decays for bare reduced runs
-  drive.cross = false                swap roles of a,b on atom 2 (psi sector)
-  physical.g_2pi_MHz physical.kappa1_2pi_MHz [physical.kappa2_2pi_MHz]
-  physical.gamma_2pi_MHz physical.Delta_2pi_MHz physical.Omega_s_2pi_MHz
-  physical.a_over_b physical.epsilon [physical.omega_1_2pi_MHz = 100]
-  time.t_max_us = 10   time.n_points = 101
-  solver.rel_tol solver.abs_tol      default per tier: {tier_tols}
-  solver.ss_tol = 1e-8               accepted; unused since steady states are solved directly
-  sweep.a_over_b = 1.1:4.0:0.1  sweep.epsilon = 0.7:1.0:0.01  sweep.Y = log:1:300:30
-"""
+def _keys_help() -> str:
+    """The config grammar and every key of :data:`casqed.config.KEYS`."""
+    lines = ["config file grammar: one `key = value` per line, `#` comments, dotted keys.", "",
+             "keys (= default, accepted values, meaning). A list key takes one or more values.",
+             "A physical block needs its (required) keys, and sets drive.a and drive.epsilon:",
+             "drive.a, drive.a_over_b or drive.epsilon next to a physical.* key is an error."]
+    for key in KEYS:
+        shown = f"  {key.name}" + ("" if key.default is None else f" = {key.default}")
+        required = "(required) " if key.required else ""
+        lines.append(f"{shown:<35}{key.accepts + '  ':<14}{required}{key.help}")
+    lines.append("per-tier solver.rel_tol/abs_tol: " + ", ".join(
+        f"{tier} {rel:g}/{abs_:g}" for tier, (rel, abs_) in TIER_TOLS.items()))
+    return "\n".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casqed",
         description="cascaded-cavity two-atom entanglement: time series, sweeps, metrics",
-        epilog=_DEFAULTS_HELP.format(tier_tols=", ".join(
-            f"{tier} {rel:g}/{abs_:g}" for tier, (rel, abs_) in TIER_TOLS.items()
-        )),
+        epilog=_keys_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)

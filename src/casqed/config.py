@@ -6,20 +6,22 @@ comment, blank lines ignored.  Dotted keys group related settings
 complex (``1+2j``), booleans (``true``/``false``), comma lists, range
 expressions ``lo:hi:step`` (inclusive of both ends up to rounding) and
 ``log:lo:hi:n`` for log-spaced grids; anything else stays a string.
+
+:data:`KEYS` holds one entry per key: its field, default, cast, accepted
+values and help line.  :func:`validate_config` reads every key through
+it, and ``casqed --help`` prints it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-
-_EXPERIMENTS = ("evolve", "sweep-eps", "sweep-coop", "steady", "metrics")
-_TIERS = ("reduced", "effective", "full")
-_BALANCE_MODES = ("compensated", "raman_resonant")
 
 
 def _parse_scalar(text: str):
@@ -117,124 +119,127 @@ class ExperimentConfig:
         return self.physical
 
 
-#: physical.* key -> field name; every value is a float
-_PHYSICAL_KEYS = {
-    "g_2pi_MHz": "g",
-    "kappa1_2pi_MHz": "kappa1",
-    "kappa2_2pi_MHz": "kappa2",
-    "gamma_2pi_MHz": "gamma",
-    "Delta_2pi_MHz": "Delta",
-    "Omega_s_2pi_MHz": "Omega_s",
-    "a_over_b": "a_over_b",
-    "epsilon": "epsilon",
-    "omega_1_2pi_MHz": "omega_1",
+def _scalar(value):
+    """One value as parsed; a comma list is not one."""
+    if isinstance(value, list):
+        raise ValueError(value)
+    return value
+
+
+def _list(cast):
+    """Cast of a comma list, or of one value, entry by entry."""
+    return lambda value: [cast(v) for v in (value if isinstance(value, list) else [value])]
+
+
+#: accepted values by name; each test takes one cast value (one list entry)
+_CHECKS = {
+    "finite": lambda v: math.isfinite(abs(v)),
+    "finite > 0": lambda v: math.isfinite(v) and v > 0,
+    "integer >= 1": lambda v: v >= 1,
+    "integer >= 2": lambda v: v >= 2,
+    "true | false": lambda v: isinstance(v, bool),
 }
 
-_PHYSICAL_REQUIRED = ("g", "kappa1", "gamma", "Delta", "Omega_s", "a_over_b", "epsilon")
 
-_PHYSICAL_DEFAULTS = {"omega_1": 100.0}
+class Key(NamedTuple):
+    """One config key: where it goes, its default and what it accepts."""
 
+    name: str
+    field: str              # ExperimentConfig field; physical.*: key of the physical dict
+    default: str | None     # config text of the value when absent; None: see help
+    cast: Callable          # parsed value -> field value
+    accepts: str            # a _CHECKS name, or the accepted strings joined by " | "
+    help: str
+    required: bool = False  # physical.*: needed whenever the physical block is given
 
-def _get(raw, key, default, cast=None):
-    if key not in raw:
-        return default
-    val = raw.pop(key)
-    if cast is not None:
+    def read(self, value):
+        """``value`` cast and checked; raises ConfigError naming the key."""
+        test = _CHECKS.get(self.accepts, self.accepts.split(" | ").__contains__)
         try:
-            return cast(val)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key {key}: cannot read {val!r}", key=key) from exc
-    return val
+            out = self.cast(value)
+            ok = out != [] and all(map(test, out if isinstance(out, list) else [out]))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{self.name} must be {self.accepts}, got {value!r}", key=self.name)
+        return out
 
 
-def _as_list(val):
-    return list(val) if isinstance(val, list) else [val]
+#: every config key, in help order
+KEYS = (
+    Key("experiment", "experiment", None, _scalar, "evolve | sweep-eps | sweep-coop | steady | metrics",
+        "must match the subcommand if given"),
+    Key("model.tier", "tiers", "reduced", _list(str), "reduced | effective | full",
+        "evolve accepts a comma list"),
+    Key("model.balance", "balance", "compensated", _scalar, "compensated | raman_resonant",
+        "light-shift balance"),
+    Key("model.fock_cutoff", "fock_cutoff", "2", int, "integer >= 1", "photon states 0..cutoff per mode"),
+    Key("drive.a", "a", None, complex, "finite", "default drive.a_over_b * drive.b, else 2 * drive.b"),
+    Key("drive.b", "b", "1", complex, "finite", "matched Raman amplitudes a, b (reduced tier)"),
+    Key("drive.a_over_b", "a_over_b", None, complex, "finite", "sets drive.a = a_over_b * drive.b"),
+    Key("drive.epsilon", "epsilon", "1", float, "finite", "cavity coupling efficiency (reduced tier)"),
+    Key("drive.cross", "cross", "false", _scalar, "true | false", "swap a, b on atom 2 (psi sector)"),
+    Key("drive.kappa1", "drive_kappa1", "1", float, "finite > 0", "cavity decays of a bare reduced run"),
+    Key("drive.kappa2", "drive_kappa2", "1", float, "finite > 0", "cavity decays of a bare reduced run"),
+    Key("physical.g_2pi_MHz", "g", None, float, "finite", "atom-cavity coupling", True),
+    Key("physical.kappa1_2pi_MHz", "kappa1", None, float, "finite", "cavity 1 decay", True),
+    Key("physical.kappa2_2pi_MHz", "kappa2", None, float, "finite", "cavity 2 decay; default kappa1"),
+    Key("physical.gamma_2pi_MHz", "gamma", None, float, "finite", "spontaneous emission", True),
+    Key("physical.Delta_2pi_MHz", "Delta", None, float, "finite", "Raman detuning", True),
+    Key("physical.Omega_s_2pi_MHz", "Omega_s", None, float, "finite", "Omega_r = a_over_b Omega_s", True),
+    Key("physical.a_over_b", "a_over_b", None, float, "finite", "drive ratio", True),
+    Key("physical.epsilon", "epsilon", None, float, "finite", "cavity coupling efficiency", True),
+    Key("physical.omega_1_2pi_MHz", "omega_1", "100", float, "finite", "qubit splitting"),
+    Key("time.t_max_us", "t_max_us", "10", float, "finite > 0", "evolve: end time"),
+    Key("time.n_points", "n_points", "101", int, "integer >= 2", "evolve: samples"),
+    Key("solver.rel_tol", "rel_tol", None, float, "finite > 0", "evolve tolerance; default per tier"),
+    Key("solver.abs_tol", "abs_tol", None, float, "finite > 0", "evolve tolerance; default per tier"),
+    Key("solver.ss_tol", "ss_tol", "1e-8", float, "finite > 0",
+        "read only by perfbench/checks.py; goes with ROADMAP item 2"),
+    Key("sweep.a_over_b", "sweep_a_over_b", "1.1:4.0:0.1", _list(float), "finite", "sweep-eps axis"),
+    Key("sweep.epsilon", "sweep_epsilon", "0.7:1.0:0.01", _list(float), "finite", "sweep-eps axis"),
+    Key("sweep.Y", "sweep_Y", "log:1:300:30", _list(float), "finite", "sweep-coop axis"),
+)
 
 
 def validate_config(raw: dict, text: str = "") -> ExperimentConfig:
+    """The config of a raw key -> value mapping, read through :data:`KEYS`."""
     raw = dict(raw)
-    experiment = _get(raw, "experiment", None)
-    if experiment is not None and experiment not in _EXPERIMENTS:
-        raise ConfigError(
-            f"experiment must be one of {_EXPERIMENTS}, got {experiment!r}", key="experiment"
-        )
+    block = any(k.name in raw for k in KEYS if k.name.startswith("physical."))
+    # keys that set a value another key sets too
+    drive = [k for k in ("drive.a", "drive.a_over_b", "drive.epsilon") if k in raw]
+    if block and drive:
+        raise ConfigError(f"{drive[0]} conflicts with the physical block, which sets it", key=drive[0])
+    if "drive.a" in raw and "drive.a_over_b" in raw:
+        raise ConfigError("drive.a and drive.a_over_b both set drive.a; give one", key="drive.a_over_b")
 
-    tiers = [str(t) for t in _as_list(_get(raw, "model.tier", "reduced"))]
-    for t in tiers:
-        if t not in _TIERS:
-            raise ConfigError(f"model.tier entries must be in {_TIERS}, got {t!r}", key="model.tier")
-
-    balance = _get(raw, "model.balance", "compensated")
-    if balance not in _BALANCE_MODES:
-        raise ConfigError(
-            f"model.balance must be one of {_BALANCE_MODES}, got {balance!r}", key="model.balance"
-        )
-    fock_cutoff = _get(raw, "model.fock_cutoff", 2, int)
-    if fock_cutoff < 1:
-        raise ConfigError("model.fock_cutoff must be >= 1", key="model.fock_cutoff")
-
-    # matched drive block
-    a_over_b = _get(raw, "drive.a_over_b", None, complex)
-    b = _get(raw, "drive.b", 1.0 + 0j, complex)
-    a = _get(raw, "drive.a", a_over_b * b if a_over_b is not None else 2.0 * b, complex)
-    epsilon = _get(raw, "drive.epsilon", None, float)
-    cross = _get(raw, "drive.cross", False, bool)
-    drive_kappa1 = _get(raw, "drive.kappa1", 1.0, float)
-    drive_kappa2 = _get(raw, "drive.kappa2", 1.0, float)
-
-    # physical block
-    physical = {}
-    for raw_key, name in _PHYSICAL_KEYS.items():
-        val = _get(raw, f"physical.{raw_key}", None, float)
-        if val is not None:
-            physical[name] = val
-    if physical:
-        for raw_key, name in _PHYSICAL_KEYS.items():
-            if name in _PHYSICAL_REQUIRED and name not in physical:
-                raise ConfigError(f"missing key physical.{raw_key}", key=f"physical.{raw_key}")
-        if "kappa2" not in physical:
-            physical["kappa2"] = physical["kappa1"]
-        for name, default in _PHYSICAL_DEFAULTS.items():
-            physical.setdefault(name, default)
-    else:
-        physical = None
-
-    if epsilon is None:
-        epsilon = physical["epsilon"] if physical else 1.0
-    if physical is not None and a_over_b is None and "a_over_b" in physical:
-        a = complex(physical["a_over_b"]) * b
-
-    t_max_us = _get(raw, "time.t_max_us", 10.0, float)
-    n_points = _get(raw, "time.n_points", 101, int)
-    if t_max_us <= 0 or n_points < 2:
-        raise ConfigError("need time.t_max_us > 0 and time.n_points >= 2", key="time.t_max_us")
-
-    rel_tol = _get(raw, "solver.rel_tol", None, float)
-    abs_tol = _get(raw, "solver.abs_tol", None, float)
-    ss_tol = _get(raw, "solver.ss_tol", 1e-8, float)
-
-    # sweep axes default to the standard figure ranges
-    sweep_a_over_b = [float(x) for x in _as_list(_get(raw, "sweep.a_over_b", parse_value("1.1:4.0:0.1")))]
-    sweep_epsilon = [float(x) for x in _as_list(_get(raw, "sweep.epsilon", parse_value("0.7:1.0:0.01")))]
-    sweep_Y = [float(x) for x in _as_list(_get(raw, "sweep.Y", parse_value("log:1:300:30")))]
-    for name, axis in (("sweep.a_over_b", sweep_a_over_b), ("sweep.epsilon", sweep_epsilon), ("sweep.Y", sweep_Y)):
-        if not axis or not all(np.isfinite(axis)):
-            raise ConfigError(f"{name} must be a non-empty finite list", key=name)
-
+    fields, physical = {}, {}
+    for key in KEYS:
+        in_block = key.name.startswith("physical.")
+        if key.name in raw:
+            value = key.read(raw.pop(key.name))
+        elif in_block and not block:
+            continue
+        elif key.required:
+            raise ConfigError(f"missing key {key.name}", key=key.name)
+        else:
+            value = None if key.default is None else key.read(parse_value(key.default))
+        (physical if in_block else fields)[key.field] = value
     if raw:
-        raise ConfigError(f"unknown key {sorted(raw)[0]!r}", key=sorted(raw)[0])
+        raise ConfigError(f"unknown key {min(raw)!r}", key=min(raw))
 
-    return ExperimentConfig(
-        experiment=experiment,
-        tiers=tiers,
-        a=a, b=b, epsilon=epsilon,
-        drive_kappa1=drive_kappa1, drive_kappa2=drive_kappa2, cross=cross,
-        physical=physical, balance=balance, fock_cutoff=fock_cutoff,
-        t_max_us=t_max_us, n_points=n_points,
-        rel_tol=rel_tol, abs_tol=abs_tol, ss_tol=ss_tol,
-        sweep_a_over_b=sweep_a_over_b, sweep_epsilon=sweep_epsilon, sweep_Y=sweep_Y,
-        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-    )
+    # the defaults that depend on other keys
+    a_over_b, b = fields.pop("a_over_b"), fields["b"]
+    if physical:
+        if physical["kappa2"] is None:
+            physical["kappa2"] = physical["kappa1"]
+        fields.update(a=complex(physical["a_over_b"]) * b, epsilon=physical["epsilon"])
+    elif a_over_b is not None:
+        fields["a"] = a_over_b * b
+    elif fields["a"] is None:
+        fields["a"] = 2.0 * b
+    return ExperimentConfig(**fields, physical=physical or None,
+                            sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())
 
 
 def load_config(path) -> ExperimentConfig:

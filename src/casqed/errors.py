@@ -60,8 +60,8 @@ class InvalidDensityMatrix(CasqedError, ValueError):
 
 
 class ConfigError(CasqedError, ValueError):
-    """Configuration file is malformed or fails validation. Carries the
-    offending key or line when known."""
+    """User input (a config file, or a ``metrics --dm`` file) is malformed
+    or fails validation. Carries the offending key or line when known."""
 
     def __init__(self, message, key=None, line=None):
         super().__init__(message)

@@ -1,12 +1,14 @@
+import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from test_experiments import WEAK_FULL
 
 from casqed import cli
-from casqed.config import load_config
+from casqed.config import KEYS, load_config, parse_config_text, validate_config
 from casqed.errors import ConfigError
 from casqed.linalg import write_dm
 from casqed.metrics import METRIC_COLUMNS, concurrence, fef_fidelity, purity, vn_entropy
@@ -48,6 +50,21 @@ def run(tmp_path, text, command="sweep-eps", *args):
     return cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *args])
 
 
+# an evolve run at these values never finished, so they are tested at load
+NEVER_FINISH = [
+    pytest.param(REDUCED + "time.t_max_us = inf\n", id="infinite-t_max"),
+    pytest.param(REDUCED + "solver.rel_tol = nan\n", id="nan-rel_tol"),
+]
+
+
+@pytest.mark.parametrize("text", NEVER_FINISH)
+def test_bad_value_fails_at_load(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+
+
 @pytest.mark.parametrize("text", [
     pytest.param(with_key(FIG3, "physical.Delta_2pi_MHz", 0), id="zero-detuning"),
     pytest.param(with_key(FIG3, "physical.kappa1_2pi_MHz", -1), id="negative-kappa"),
@@ -60,11 +77,53 @@ def run(tmp_path, text, command="sweep-eps", *args):
     pytest.param(REDUCED.replace("reduced", "effective"), id="cavity-tier-without-physical"),
     pytest.param(with_key(REDUCED_COOP, "physical.kappa2_2pi_MHz", 28.4), id="unmatched-closed-form"),
     pytest.param(with_key(FIG3, "solver.max_time_us", 10), id="removed-key"),
+    *NEVER_FINISH,
+    pytest.param(with_key(FIG3, "physical.g_2pi_MHz", "nan"), id="nan-coupling"),
+    pytest.param(with_key(FIG3, "physical.Omega_s_2pi_MHz", "nan"), id="nan-Omega_s"),
+    pytest.param(FIG3 + "physical.omega_1_2pi_MHz = nan\n", id="nan-omega_1"),
+    pytest.param(REDUCED + "drive.a = nan\n", id="nan-drive"),
+    pytest.param(REDUCED + "drive.kappa1 = inf\n", id="infinite-drive-kappa"),
+    pytest.param(REDUCED + "solver.abs_tol = -1\n", id="negative-abs_tol"),
+    pytest.param(REDUCED + "drive.cross = maybe\n", id="cross-maybe"),
+    pytest.param(REDUCED + "drive.cross = 2\n", id="cross-2"),
+    # two keys that set one value
+    pytest.param(REDUCED + "drive.a = 3\ndrive.a_over_b = 2\n", id="a-and-a_over_b"),
+    pytest.param(FIG3 + "drive.a = 3\n", id="a-and-physical"),
+    pytest.param(FIG3 + "drive.a_over_b = 3\n", id="a_over_b-and-physical"),
+    pytest.param(FIG3 + "drive.epsilon = 0.9\n", id="epsilon-and-physical"),
 ])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
     assert run(tmp_path, text) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+# values for the keys without a default; the physical ones come from FIG3
+NO_DEFAULT = {"experiment": "evolve", "drive.a": "3", "drive.a_over_b": "2",
+              "solver.rel_tol": "1e-9", "solver.abs_tol": "1e-11", "physical.kappa2_2pi_MHz": "20"}
+
+
+def test_help_shows_every_key_with_its_default(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    shown = dict(re.findall(r"^  ([\w.]+)(?: = (\S+))?  ", capsys.readouterr().out, flags=re.M))
+    assert set(shown) == {key.name for key in KEYS}
+
+    def parsed(text):
+        return dataclasses.replace(validate_config(parse_config_text(text), text), sha256="")
+
+    for name, default in shown.items():
+        base = with_key(FIG3, name, None) if name.startswith("physical.") else ""
+        if default:  # the printed default is the value of an absent key
+            assert parsed(base + f"{name} = {default}\n") == parsed(base), name
+        elif name in NO_DEFAULT:
+            parsed(base + f"{name} = {NO_DEFAULT[name]}\n")
+        else:  # a required physical.* key
+            with pytest.raises(ConfigError):
+                parsed(base)
+            parsed(FIG3)
+    with pytest.raises(ConfigError, match="unknown key"):
+        parsed("solver.max_time_us = 10\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -242,12 +301,19 @@ def test_metrics_prints_the_metrics_of_a_stored_state(tmp_path, capsys):
     assert values == ",".join(repr(f(rho)) for f in (fef_fidelity, concurrence, vn_entropy, purity))
 
 
-def test_non_finite_dm_entry_exits_1_with_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("entry, value", [
     # a NaN entry fails the density-matrix gate instead of reaching LAPACK
+    pytest.param((1, 2), np.nan, id="nan-entry"),
+    pytest.param((0, 0), 1.25, id="trace-2"),
+    # trace 1, hermitian, eigenvalues 0.75 and -0.25 in the {|1 0>, |0 1>} block
+    pytest.param((1, 2), 0.5, id="negative-eigenvalue"),
+])
+def test_invalid_dm_matrix_exits_2_with_one_line(tmp_path, capsys, entry, value):
+    # the matrix is user input, so failing the gate is a config error
     rho = np.eye(4, dtype=complex) / 4
-    rho[1, 2] = rho[2, 1] = np.nan
+    rho[entry] = rho[entry[::-1]] = value
     path = tmp_path / "state.dm"
     write_dm(path, rho)
-    assert cli.main(["metrics", "--dm", str(path)]) == 1
+    assert cli.main(["metrics", "--dm", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err) == 1 and err[0].startswith("config error: ")

@@ -11,8 +11,14 @@ from casqed.cavity import (
     top_fock_population,
 )
 from casqed.config import parse_config_text, validate_config
-from casqed.dynamics import steady_state_nullspace
-from casqed.experiments import converged_steady_state, physical_params, run_sweep_coop
+from casqed.dynamics import integrate, steady_state_nullspace
+from casqed.experiments import (
+    TIER_TOLS,
+    build_tier,
+    converged_steady_state,
+    physical_params,
+    run_sweep_coop,
+)
 from casqed.metrics import fef_fidelity
 
 FIG3 = """\
@@ -85,3 +91,30 @@ class TestSweepCoop:
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
         assert top_fock_population(rho, space) <= 1e-6
         assert abs(fid - fef_fidelity(qubit_marginal(rho, space))) <= 1e-12
+
+
+# the evolve-full benchmark point: five-level atoms, cutoff 1 (d = 100)
+SCALED_FULL = """\
+model.tier = full
+model.fock_cutoff = 1
+physical.g_2pi_MHz = 30
+physical.kappa1_2pi_MHz = 10
+physical.gamma_2pi_MHz = 3
+physical.Delta_2pi_MHz = 500
+physical.Omega_s_2pi_MHz = 33.33
+physical.a_over_b = 2
+physical.epsilon = 0.98
+"""
+
+
+class TestTierTolerances:
+    def test_full_tier_defaults_return_states(self):
+        # at the former default abs_tol of 1e-3, DP5 sampled ||rho||_F up to
+        # 5.9 and an eigenvalue of -3.7 here
+        cfg = config(SCALED_FULL)
+        model = build_tier(cfg, "full")
+        rel, abs_ = TIER_TOLS["full"]
+        traj = integrate(model.action, model.rho0, np.linspace(0.0, 0.1, 7), rel_tol=rel, abs_tol=abs_)
+        for rho in traj.states:
+            assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -1e-6
+            assert np.linalg.norm(rho) <= 1 + 1e-6
