@@ -58,7 +58,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,8 +123,11 @@ class PhysicalParams:
     omega_Ls: float
     omega_Lt: float
     epsilon: float
+    #: False skips the detuning-regime warning, for parameters that are only
+    #: a step toward the point (not a field: ``replace`` warns again)
+    warn_regime: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, warn_regime):
         if not (self.kappa1 > 0 and self.kappa2 > 0):
             raise InvalidParams("cavity decay rates must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -135,7 +138,7 @@ class PhysicalParams:
             raise InvalidParams("linewidths must be non-negative")
         name_d, delta = min(((n, abs(getattr(self, n))) for n in _DETUNINGS), key=lambda x: x[1])
         name_c, coupling = max(((n, abs(getattr(self, n))) for n in _COUPLINGS), key=lambda x: x[1])
-        if delta < _DETUNING_RATIO_WARN * coupling:
+        if warn_regime and delta < _DETUNING_RATIO_WARN * coupling:
             warnings.warn(
                 f"smallest detuning |{name_d}| = {delta:g} MHz is only {delta / coupling:.1f} "
                 f"times the largest coupling |{name_c}| = {coupling:g} MHz "
@@ -156,12 +159,14 @@ class PhysicalParams:
         epsilon: float,
         omega_1: float = 100.0,
         Omega_t: complex = 0.0,
+        warn_regime: bool = True,
     ) -> "PhysicalParams":
         """Single (g, kappa, gamma, Delta) set, equal for both atoms.
 
         Lasers start on two-photon resonance around omega_cav = 0; run
         :func:`stark_balance` afterwards to fix Omega_t (and, in
-        compensated mode, the cavity frequency).
+        compensated mode, the cavity frequency); it warns for the balanced
+        point, so ``warn_regime=False`` keeps a point from warning twice.
         """
         return cls(
             g_r=g, g_s=g, kappa1=kappa, kappa2=kappa,
@@ -171,7 +176,7 @@ class PhysicalParams:
             Omega_r2=Omega_r, Omega_s2=Omega_s, Omega_t2=Omega_t,
             omega_1=omega_1, omega_cav=0.0,
             omega_Lr=-omega_1, omega_Ls=+omega_1, omega_Lt=0.0,
-            epsilon=epsilon,
+            epsilon=epsilon, warn_regime=warn_regime,
         )
 
 
@@ -243,25 +248,20 @@ def stark_balance(p: PhysicalParams, mode: str = "compensated") -> PhysicalParam
     Raises :class:`InfeasibleBalance` when the required alpha_t has the
     wrong sign for Delta_t, or when eta_r != eta_s in compensated mode.
     """
+    d = derive_params(p)   # frequencies do not enter it
     if mode == "raman_resonant":
-        p = replace(
-            p,
-            omega_Lr=p.omega_cav - p.omega_1,
-            omega_Ls=p.omega_cav + p.omega_1,
-        )
+        frame = {"omega_Lr": p.omega_cav - p.omega_1, "omega_Ls": p.omega_cav + p.omega_1}
         target = 0.0
     elif mode == "compensated":
-        d = derive_params(p)
         if abs(d.eta_r - d.eta_s) > 1e-9 * max(abs(d.eta_r), abs(d.eta_s), 1.0):
             raise InfeasibleBalance(
                 f"compensated mode needs eta_r == eta_s, got {d.eta_r:g} vs {d.eta_s:g}"
             )
-        p = replace(p, omega_cav=0.5 * (p.omega_Ls + p.omega_Lr) - d.eta_r)
+        frame = {"omega_cav": 0.5 * (p.omega_Ls + p.omega_Lr) - d.eta_r}
         target = 0.5 * (p.omega_Ls - p.omega_Lr) - p.omega_1
     else:
         raise ValueError(f"unknown balance mode {mode!r}")
 
-    d = derive_params(p)
     omegas_t = []
     for i in range(2):
         alpha_t_needed = d.alpha_r[i] - d.alpha_s[i] - target
@@ -274,7 +274,8 @@ def stark_balance(p: PhysicalParams, mode: str = "compensated") -> PhysicalParam
                 f"with Delta_t = {p.Delta_t:g} MHz (sign mismatch)"
             )
         omegas_t.append(float(np.sqrt(4.0 * p.Delta_t * alpha_t_needed)))
-    return replace(p, Omega_t1=omegas_t[0], Omega_t2=omegas_t[1])
+    # one rebuild, so the detuning check of the balanced point warns once
+    return replace(p, **frame, Omega_t1=omegas_t[0], Omega_t2=omegas_t[1])
 
 
 def balance_residuals(p: PhysicalParams):

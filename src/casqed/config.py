@@ -38,13 +38,22 @@ def _parse_scalar(text: str):
     return text
 
 
+def _integral(value) -> int:
+    """``value`` as an int: 3 and 3.0 are integral; 2.5, true and "3" are not."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def parse_value(text: str):
     text = text.strip()
     if text.startswith("log:"):
         parts = text.split(":")
         if len(parts) != 4:
             raise ValueError("log range needs log:lo:hi:n")
-        lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
+        lo, hi, n = float(parts[1]), float(parts[2]), _integral(_parse_scalar(parts[3].strip()))
         if lo <= 0 or hi <= 0 or n < 1:
             raise ValueError("log range needs positive bounds and n >= 1")
         return [float(x) for x in np.geomspace(lo, hi, n)]
@@ -173,7 +182,7 @@ KEYS = (
         "evolve accepts a comma list"),
     Key("model.balance", "balance", "compensated", _scalar, "compensated | raman_resonant",
         "light-shift balance"),
-    Key("model.fock_cutoff", "fock_cutoff", "2", int, "integer >= 1", "photon states 0..cutoff per mode"),
+    Key("model.fock_cutoff", "fock_cutoff", "2", _integral, "integer >= 1", "photon states 0..cutoff per mode"),
     Key("drive.a", "a", None, complex, "finite", "default drive.a_over_b * drive.b, else 2 * drive.b"),
     Key("drive.b", "b", "1", complex, "finite", "matched Raman amplitudes a, b (reduced tier)"),
     Key("drive.a_over_b", "a_over_b", None, complex, "finite", "sets drive.a = a_over_b * drive.b"),
@@ -191,7 +200,7 @@ KEYS = (
     Key("physical.epsilon", "epsilon", None, float, "finite", "cavity coupling efficiency", True),
     Key("physical.omega_1_2pi_MHz", "omega_1", "100", float, "finite", "qubit splitting"),
     Key("time.t_max_us", "t_max_us", "10", float, "finite > 0", "evolve: end time"),
-    Key("time.n_points", "n_points", "101", int, "integer >= 2", "evolve: samples"),
+    Key("time.n_points", "n_points", "101", _integral, "integer >= 2", "evolve: samples"),
     Key("solver.rel_tol", "rel_tol", None, float, "finite > 0", "evolve tolerance; default per tier"),
     Key("solver.abs_tol", "abs_tol", None, float, "finite > 0", "evolve tolerance; default per tier"),
     Key("solver.ss_tol", "ss_tol", "1e-8", float, "finite > 0",

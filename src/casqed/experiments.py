@@ -17,8 +17,12 @@ Every point of ``sweep-eps`` and ``sweep-coop`` takes one path: its
 parameters come from :func:`physical_params` (the physical block with
 a/b, epsilon or the cooperativity Y replaced).  The reduced tier takes
 the closed form on a matched drive, from ``drive.*`` or recovered from
-the point's reduced parameters; the cavity tiers take the qubit marginal
-of :func:`converged_steady_state`.  One writer emits CSV, SVG, manifest.
+the point's reduced parameters, in blocks of :data:`REDUCED_BLOCK`
+points: one array pass gives the states and fidelities of a block, and a
+block that raises is rerun point by point, so each failing point keeps
+its own error.  The cavity tiers take the qubit marginal of
+:func:`converged_steady_state`, one point at a time.  One writer emits
+CSV, SVG, manifest.
 
 Steady states of the cavity tiers come from a direct solve at each Fock
 cutoff (:func:`~casqed.dynamics.steady_state_nullspace`): GMRES on the
@@ -31,7 +35,8 @@ order 2 pi x 8 GHz against microsecond relaxation), so full-tier
 ``evolve`` runs are slow.
 
 Sweeps with ``--workers N`` send the point function, and with it the
-config, to each worker process once and the points in chunks.
+config, to each worker process once and the points (reduced tier: the
+blocks) in chunks.
 """
 
 from __future__ import annotations
@@ -80,6 +85,11 @@ TIER_TOLS = {
     "effective": (1e-7, 1e-10),
     "full": (1e-7, 1e-8),
 }
+
+
+#: reduced-tier sweep points per array pass; a fixed size keeps peak memory
+#: flat however large the grid
+REDUCED_BLOCK = 1024
 
 
 def fmt(x) -> str:
@@ -158,6 +168,8 @@ def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None, Y=None) 
     epsilon = phys["epsilon"] if epsilon is None else epsilon
     g = phys["g"] if Y is None else _coop_g(phys, Y)
     scale = phys["g"] / g if Y is not None else 1.0
+    # stark_balance warns once for the balanced point if it is outside the
+    # large-detuning regime; the steps toward it do not
     p = PhysicalParams.symmetric(
         g=g,
         kappa=phys["kappa1"],
@@ -167,9 +179,10 @@ def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None, Y=None) 
         Omega_s=phys["Omega_s"] * scale,
         epsilon=epsilon,
         omega_1=phys["omega_1"],
+        warn_regime=False,
     )
     if phys["kappa2"] != phys["kappa1"]:
-        p = replace(p, kappa2=phys["kappa2"])
+        p = replace(p, kappa2=phys["kappa2"], warn_regime=False)
     return stark_balance(p, cfg.balance)
 
 
@@ -307,16 +320,34 @@ def _point_model(cfg: ExperimentConfig, tier: str, point: dict):
     return MatchedDrive.from_params(reduced_params(physical_params(cfg, **point)))
 
 
+def _failed(exc: CasqedError):
+    return float("nan"), f"{type(exc).__name__}: {exc}"
+
+
 def _steady_point(cfg: ExperimentConfig, tier: str, point: dict):
-    """(fidelity, None) of one sweep point's steady state, or (nan, error)."""
+    """(fidelity, None) of one cavity-tier sweep point's steady state, or (nan, error)."""
     try:
-        model = _point_model(cfg, tier, point)
-        if tier == "reduced":
-            return float(fef_fidelity(analytic_steady_state(model))), None
-        rho, space, _ = converged_steady_state(model, tier, cfg)
+        rho, space, _ = converged_steady_state(_point_model(cfg, tier, point), tier, cfg)
         return float(fef_fidelity(qubit_marginal(rho, space))), None
     except CasqedError as exc:
-        return float("nan"), f"{type(exc).__name__}: {exc}"
+        return _failed(exc)
+
+
+def _reduced_block(cfg: ExperimentConfig, points: list) -> list:
+    """[(fidelity, None) or (nan, error)] of reduced-tier sweep points.
+
+    One array pass takes the closed form and the fully entangled fraction
+    of every point.  A block that raises (a degenerate point, an infeasible
+    balance, a failed gate) is rerun point by point, so each failing point
+    gets its own error.
+    """
+    try:
+        states = analytic_steady_state([_point_model(cfg, "reduced", p) for p in points])
+        return [(fid, None) for fid in fef_fidelity(states).tolist()]
+    except CasqedError as exc:
+        if len(points) == 1:
+            return [_failed(exc)]
+        return [row for p in points for row in _reduced_block(cfg, [p])]
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, points, rows, plot):
@@ -337,7 +368,11 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
         raise ConfigError(f"invalid model parameters: {exc}") from exc
     except InfeasibleBalance:
         pass  # depends on a/b; the point's own row reports it
-    results = _run_points(partial(_steady_point, cfg, tier), points, workers)
+    if tier == "reduced":
+        blocks = [points[i:i + REDUCED_BLOCK] for i in range(0, len(points), REDUCED_BLOCK)]
+        results = [r for block in _run_points(partial(_reduced_block, cfg), blocks, workers) for r in block]
+    else:
+        results = _run_points(partial(_steady_point, cfg, tier), points, workers)
 
     failed = 0
     for point, row, (fid, err) in zip(points, rows, results):

@@ -55,8 +55,9 @@ def asmatrix(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return np.conj(np.asarray(a)).T
+    """Hermitian conjugate; of each matrix of a stack (..., n, m), whose
+    leading axes stay in place."""
+    return np.swapaxes(np.conj(np.asarray(a)), -1, -2)
 
 
 def embed_at(op, site: int, space: TensorSpace) -> sp.csr_matrix:
@@ -117,23 +118,29 @@ def partial_trace(rho: np.ndarray, space: TensorSpace, keep) -> np.ndarray:
 def hermitian_eigen(a: np.ndarray):
     """Eigendecomposition of a hermitian matrix (checked to 1e-10 relative).
 
+    ``a`` may be a stack (k, n, n): each matrix is checked against its own
+    largest entry and decomposed as if alone.
+
     Returns
     -------
     (w, V) : eigenvalues ascending, eigenvectors as the columns of V,
         with ``a == V @ diag(w) @ V.conj().T`` and ``V.conj().T @ V == I``
-        to rounding.
+        to rounding; for a stack, w is (k, n) and V is (k, n, n).
     """
-    a = asmatrix(a)
-    if a.shape[0] != a.shape[1]:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3):
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    if a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("hermitian_eigen needs a square matrix")
-    if np.abs(a - dagger(a)).max() > 1e-10 * np.abs(a).max():
+    if np.any(np.abs(a - dagger(a)).max(axis=(-2, -1)) > 1e-10 * np.abs(a).max(axis=(-2, -1))):
         raise NonHermitianInput("input is not hermitian within 1e-10")
     return np.linalg.eigh((a + dagger(a)) / 2.0)
 
 
-def eigvalsh_min(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a hermitian matrix (validity-gate helper)."""
-    return float(np.linalg.eigvalsh((a + dagger(a)) / 2.0)[0])
+def eigvalsh_min(a: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of a hermitian matrix, or of each matrix of a
+    stack (k, n, n) (validity-gate helper)."""
+    return np.linalg.eigvalsh((a + dagger(a)) / 2.0)[..., 0]
 
 
 # ---------------------------------------------------------------------------

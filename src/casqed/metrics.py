@@ -48,33 +48,48 @@ _HERM_TOL = 1e-8
 _NEG_TOL = 1e-7
 
 
-def _validated(rho, dim=None) -> np.ndarray:
+def _validated(rho, dim=None, stack=False) -> np.ndarray:
+    """``rho`` made exactly hermitian, after the density-matrix gate.
+
+    With ``stack=True`` ``rho`` may also be a stack (k, n, n); the gate
+    then checks each matrix as if alone and raises the message of the
+    first one that fails.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim not in ((2, 3) if stack else (2,)) or rho.shape[-1] != rho.shape[-2]:
         raise InvalidDensityMatrix(f"expected a square matrix, got shape {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
+    if dim is not None and rho.shape[-1] != dim:
         raise InvalidDensityMatrix(f"expected a {dim}x{dim} density matrix, got {rho.shape}")
+    mats = rho.reshape((-1,) + rho.shape[-2:])
+    trace = np.trace(mats, axis1=-2, axis2=-1)
     # "not <=": a NaN entry makes the trace or the hermiticity defect NaN
-    if not abs(np.trace(rho) - 1.0) <= _TRACE_TOL:
-        raise InvalidDensityMatrix(f"trace {np.trace(rho)} is not 1 within {_TRACE_TOL}")
-    if not np.abs(rho - dagger(rho)).max() <= _HERM_TOL:
-        raise InvalidDensityMatrix("matrix is not hermitian within tolerance")
-    if eigvalsh_min(rho) < -_NEG_TOL:
+    bad_trace = ~(abs(trace - 1.0) <= _TRACE_TOL)
+    bad = bad_trace | ~(np.abs(mats - dagger(mats)).max(axis=(-2, -1)) <= _HERM_TOL)
+    # the eigenvalues of the matrices before the first that fails either check
+    n_ok = int(np.argmax(bad)) if bad.any() else len(mats)
+    if np.any(eigvalsh_min(mats[:n_ok]) < -_NEG_TOL):
         raise InvalidDensityMatrix("matrix has an eigenvalue below the positivity gate")
+    if n_ok < len(mats):
+        if bad_trace[n_ok]:
+            raise InvalidDensityMatrix(f"trace {trace[n_ok]} is not 1 within {_TRACE_TOL}")
+        raise InvalidDensityMatrix("matrix is not hermitian within tolerance")
     return (rho + dagger(rho)) / 2.0
 
 
-def fef_fidelity(rho) -> float:
+def fef_fidelity(rho):
     """Fully entangled fraction of a two-qubit state.
 
     Largest eigenvalue of the real part of rho in the magic basis;
     equal to max_phi <phi|rho|phi> over maximally entangled |phi>.
+    ``rho`` may be one state (a float is returned) or a stack (k, 4, 4)
+    of states (an array of k fidelities, each bit for bit that of its
+    state alone).
     """
-    rho = _validated(rho, dim=4)
+    rho = _validated(rho, dim=4, stack=True)
     m = dagger(MAGIC_BASIS) @ rho @ MAGIC_BASIS
-    re = (m + m.T).real / 2.0  # m is hermitian, so Re(m) is symmetric
+    re = (m + np.swapaxes(m, -1, -2)).real / 2.0  # m is hermitian, so Re(m) is symmetric
     w, _ = hermitian_eigen(re.astype(complex))
-    return float(w[-1])
+    return float(w[-1]) if w.ndim == 1 else w[:, -1]
 
 
 def _haar_su2(rng) -> np.ndarray:

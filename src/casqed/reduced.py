@@ -28,7 +28,8 @@ in rad/us here, making trajectory times microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,42 +154,58 @@ def liouvillian_matrix(p: ReducedParams) -> np.ndarray:
     return liouvillian_action(p).meta["sparse_superop"].toarray()
 
 
-def analytic_steady_state(m: MatchedDrive) -> np.ndarray:
+def analytic_steady_state(m) -> np.ndarray:
     """Closed-form steady state of the matched-drive cascaded model.
+
+    ``m`` is one :class:`MatchedDrive`, for which a (4, 4) state is
+    returned, or a sequence of them, for which an (n, 4, 4) stack is
+    returned with the state of ``m[i]`` at index i.  One array pass
+    evaluates the formula for every drive; one drive is the case n = 1.
 
     Returned in the basis {|1 1>, |1 0>, |0 1>, |0 0>}; only the
     populations and the (|1 1>,|0 0>) and (|1 0>,|0 1>) coherences are
-    nonzero.  Raises :class:`DegenerateParams` at the critical point
-    |a| = |b|, eps = 1 where the denominator vanishes and relaxation
-    becomes arbitrarily slow.
+    nonzero.  Raises :class:`DegenerateParams`, naming the first such
+    drive, at the critical point |a| = |b|, eps = 1 where the denominator
+    vanishes and relaxation becomes arbitrarily slow.
 
     With ``cross=True`` atom 2's jump operator is X R_2 X (X swaps |0>
     and |1>), so the generator and its steady state are those of the
     standard drive conjugated by X on qubit 2.
     """
-    if m.cross:
-        flip = [_IDX_10, _IDX_11, _IDX_00, _IDX_01]
-        return analytic_steady_state(replace(m, cross=False))[np.ix_(flip, flip)]
-    a, b, eps = complex(m.a), complex(m.b), float(m.epsilon)
-    x = abs(a) ** 2
-    y = abs(b) ** 2
+    drives = [m] if isinstance(m, MatchedDrive) else list(m)
+    eps = np.array([d.epsilon for d in drives], dtype=float)
+    # |a|^2, |b|^2, their cubes and sqrt(eps) a* b are taken per drive in
+    # Python floats: numpy's SIMD complex abs, cube and complex product may
+    # round the last bit differently, and differently from CPU to CPU
+    xs = [abs(complex(d.a)) ** 2 for d in drives]
+    ys = [abs(complex(d.b)) ** 2 for d in drives]
+    x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    x3, y3 = np.array([v**3 for v in xs], dtype=float), np.array([v**3 for v in ys], dtype=float)
+    ab = np.array([math.sqrt(d.epsilon) * complex(d.a).conjugate() * complex(d.b) for d in drives],
+                  dtype=complex)
     denom = (x * x + y * y + 2.0 * (1.0 + 2.0 * eps - 4.0 * eps * eps) * x * y) * (x + y)
-    if abs(denom) <= 1e-12 * (x + y) ** 3:
+    degenerate = np.flatnonzero(np.abs(denom) <= 1e-12 * (x + y) ** 3)
+    if degenerate.size:
+        d = drives[degenerate[0]]
         raise DegenerateParams(
-            f"steady state is degenerate at |a|={abs(a):g}, |b|={abs(b):g}, eps={eps:g}"
+            f"steady state is degenerate at |a|={abs(d.a):g}, |b|={abs(d.b):g}, eps={d.epsilon:g}"
         )
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[_IDX_11, _IDX_11] = (y**3 + (1 + eps - 4 * eps * eps) * x * y * y + eps * y * x * x) / denom
-    rho[_IDX_10, _IDX_10] = x * y * (1 - eps) * (x + (1 + 4 * eps) * y) / denom
-    rho[_IDX_01, _IDX_01] = x * y * (1 - eps) * (y + (1 + 4 * eps) * x) / denom
-    rho[_IDX_00, _IDX_00] = (x**3 + eps * x * y * y + (1 + eps - 4 * eps * eps) * y * x * x) / denom
-    r14 = np.sqrt(eps) * np.conj(a) * b * (x * x + (2 - 4 * eps) * x * y + y * y) / denom
+    rho = np.zeros((len(drives), 4, 4), dtype=complex)
+    rho[:, _IDX_11, _IDX_11] = (y3 + (1 + eps - 4 * eps * eps) * x * y * y + eps * y * x * x) / denom
+    rho[:, _IDX_10, _IDX_10] = x * y * (1 - eps) * (x + (1 + 4 * eps) * y) / denom
+    rho[:, _IDX_01, _IDX_01] = x * y * (1 - eps) * (y + (1 + 4 * eps) * x) / denom
+    rho[:, _IDX_00, _IDX_00] = (x3 + eps * x * y * y + (1 + eps - 4 * eps * eps) * y * x * x) / denom
+    r14 = ab * (x * x + (2 - 4 * eps) * x * y + y * y) / denom
     r23 = 2.0 * np.sqrt(eps) * (1 - eps) * x * y * (x + y) / denom
-    rho[_IDX_11, _IDX_00] = r14
-    rho[_IDX_00, _IDX_11] = np.conj(r14)
-    rho[_IDX_10, _IDX_01] = r23
-    rho[_IDX_01, _IDX_10] = np.conj(r23)
-    return rho
+    rho[:, _IDX_11, _IDX_00] = r14
+    rho[:, _IDX_00, _IDX_11] = np.conj(r14)
+    rho[:, _IDX_10, _IDX_01] = r23
+    rho[:, _IDX_01, _IDX_10] = np.conj(r23)
+    cross = np.array([d.cross for d in drives], dtype=bool)
+    if cross.any():
+        flip = [_IDX_10, _IDX_11, _IDX_00, _IDX_01]
+        rho[cross] = rho[cross][:, flip][:, :, flip]
+    return rho[0] if isinstance(m, MatchedDrive) else rho
 
 
 def dark_state(a: complex, b: complex) -> np.ndarray:

@@ -478,6 +478,24 @@ class TestDetuningWarning:
         assert rec[0].filename == experiments.__file__
         assert "|Omega_r1| = 49.995 MHz" in str(rec[0].message)   # 1.5 x 33.33
 
+    @pytest.mark.parametrize("extra", [
+        pytest.param("", id="kappa2-default"),
+        pytest.param("physical.kappa2_2pi_MHz = 20\n", id="kappa2-set"),
+    ])
+    def test_warns_once_per_point(self, extra):
+        # the evolve-full benchmark point: symmetric(), the kappa2 rebuild and
+        # stark_balance() each build the parameters, but the point warns once
+        text = ("model.tier = full\nphysical.g_2pi_MHz = 30\nphysical.kappa1_2pi_MHz = 10\n"
+                "physical.gamma_2pi_MHz = 3\nphysical.Delta_2pi_MHz = 500\n"
+                "physical.Omega_s_2pi_MHz = 33.33\nphysical.a_over_b = 2\n"
+                "physical.epsilon = 0.98\n" + extra)
+        cfg = validate_config(parse_config_text(text), text=text)
+        for point in ({}, {"a_over_b": 1.5}, {"epsilon": 0.5}):
+            with pytest.warns(UserWarning) as rec:
+                experiments.physical_params(cfg, **point)
+            assert len(rec) == 1
+            assert rec[0].filename == experiments.__file__
+
 
 class TestFullModel:
     def test_no_drive_ground_vacuum_stationary(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from test_experiments import WEAK_FULL
 
-from casqed import cli
+from casqed import cli, experiments
 from casqed.config import KEYS, load_config, parse_config_text, validate_config
 from casqed.errors import ConfigError
 from casqed.linalg import write_dm
@@ -91,6 +91,11 @@ def test_bad_value_fails_at_load(tmp_path, text):
     pytest.param(FIG3 + "drive.a = 3\n", id="a-and-physical"),
     pytest.param(FIG3 + "drive.a_over_b = 3\n", id="a_over_b-and-physical"),
     pytest.param(FIG3 + "drive.epsilon = 0.9\n", id="epsilon-and-physical"),
+    # integer values that are not integral
+    pytest.param(FIG3 + "model.fock_cutoff = 2.5\n", id="fractional-fock_cutoff"),
+    pytest.param(REDUCED + "time.n_points = 7.9\n", id="fractional-n_points"),
+    pytest.param(FIG3 + "model.fock_cutoff = true\n", id="boolean-fock_cutoff"),
+    pytest.param(with_key(REDUCED_COOP, "sweep.Y", "log:1:300:7.9"), id="fractional-log-count"),
 ])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
     assert run(tmp_path, text) == 2
@@ -237,6 +242,29 @@ def test_failed_point_reads_nan_and_exits_1(tmp_path, capsys):
     bad, good = json.loads((tmp_path / "out" / "manifest.json").read_text())["points"]
     assert bad["converged"] is False and bad["error"].startswith("DegenerateParams: ")
     assert good == {"a_over_b": 2.0, "epsilon": 1.0, "converged": True}
+
+
+# 61 ratios x 31 epsilons: two blocks of the default size; the degenerate
+# point a/b = 1, eps = 1 fails in the first
+MANY_BLOCKS = "model.tier = reduced\nsweep.a_over_b = 1.0:4.0:0.05\nsweep.epsilon = 0.7:1.0:0.01\n"
+
+
+def test_reduced_csv_is_the_same_for_any_blocks_and_workers(tmp_path, monkeypatch):
+    runs = {}
+    for name, workers, block in (("w1", "1", None), ("w2", "2", None), ("b7", "1", 7), ("b7-w2", "2", 7)):
+        if block is not None:
+            monkeypatch.setattr(experiments, "REDUCED_BLOCK", block)
+        out = tmp_path / name
+        out.mkdir()
+        assert run(out, MANY_BLOCKS, "sweep-eps", "--workers", workers) == 1
+        points = json.loads((out / "out" / "manifest.json").read_text())["points"]
+        runs[name] = ((out / "out" / "sweep_eps.csv").read_bytes(), points)
+    csv, points = runs["w1"]
+    assert all(other == runs["w1"] for other in runs.values())
+    assert len(csv.decode().splitlines()) == 61 * 31 + 2
+    assert [pt for pt in points if not pt["converged"]] == [
+        {"a_over_b": 1.0, "epsilon": 1.0, "converged": False,
+         "error": "DegenerateParams: steady state is degenerate at |a|=1, |b|=1, eps=1"}]
 
 
 @pytest.mark.parametrize("content", [

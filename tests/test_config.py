@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casqed.config import parse_config_text, parse_value
+from casqed.config import parse_config_text, parse_value, validate_config
 from casqed.errors import ConfigError
 
 # pure parsing: many cheap examples, the same ones on every run
@@ -54,8 +54,17 @@ def test_comma_list_round_trips(items):
     assert [type(v) for v in values] == [type(x) for x in items]
 
 
-@pytest.mark.parametrize("text", ["log:0:1:5", "log:1:10:0", "log:1:10", "1:2:0", "1:2:-1", "1:2"])
+@pytest.mark.parametrize("text", ["log:0:1:5", "log:1:10:0", "log:1:10", "1:2:0", "1:2:-1", "1:2",
+                                  "log:1:10:2.5", "log:1:10:true"])
 def test_bad_ranges_are_config_errors(text):
     with pytest.raises(ConfigError) as info:
         parse_config_text(f"sweep.epsilon = {text}")
     assert info.value.key == "sweep.epsilon" and info.value.line == 1
+
+
+def test_integral_floats_are_counts():
+    # 3.0 is the integer 3; 2.5 is rejected (see test_cli), not truncated
+    cfg = validate_config(parse_config_text(
+        "model.fock_cutoff = 3.0\ntime.n_points = 1e1\nsweep.Y = log:1:10:4.0\n"))
+    assert (cfg.fock_cutoff, cfg.n_points, len(cfg.sweep_Y)) == (3, 10, 4)
+    assert type(cfg.fock_cutoff) is int and type(cfg.n_points) is int

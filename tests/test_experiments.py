@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from casqed import experiments
 from casqed.cavity import (
     ModelSpace,
     PhysicalParams,
@@ -12,6 +14,7 @@ from casqed.cavity import (
 )
 from casqed.config import parse_config_text, validate_config
 from casqed.dynamics import integrate, steady_state_nullspace
+from casqed.errors import CasqedError
 from casqed.experiments import (
     TIER_TOLS,
     build_tier,
@@ -20,6 +23,7 @@ from casqed.experiments import (
     run_sweep_coop,
 )
 from casqed.metrics import fef_fidelity
+from casqed.reduced import analytic_steady_state
 
 FIG3 = """\
 model.tier = effective
@@ -118,3 +122,39 @@ class TestTierTolerances:
         for rho in traj.states:
             assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -1e-6
             assert np.linalg.norm(rho) <= 1 + 1e-6
+
+
+# reduced-tier grids with failing points: a/b = 1 at eps = 1 is degenerate;
+# with the physical block a/b < 1 needs alpha_t < 0, which Delta > 0 cannot give
+BARE_REDUCED = "model.tier = reduced\nsweep.a_over_b = 0.5,1.0,2.0\nsweep.epsilon = 0.8,1.0\n"
+PHYSICAL_REDUCED = (FIG3.replace("effective", "reduced")
+                    + "sweep.a_over_b = 0.5,1.0,2.0\nsweep.epsilon = 0.9,1.0\n")
+INFEASIBLE_COOP = FIG3.replace("effective", "reduced").replace("a_over_b = 2", "a_over_b = 0.5")
+
+
+def _alone(cfg, point):
+    """(fidelity, error) of one reduced point, each function called on it alone."""
+    try:
+        drive = experiments._point_model(cfg, "reduced", point)
+        return fef_fidelity(analytic_steady_state(drive)), None
+    except CasqedError as exc:
+        return float("nan"), f"{type(exc).__name__}: {exc}"
+
+
+class TestReducedBlocks:
+    @pytest.mark.parametrize("text, points, errors", [
+        pytest.param(BARE_REDUCED, "eps", {"DegenerateParams"}, id="bare"),
+        pytest.param(BARE_REDUCED + "drive.cross = true\n", "eps", {"DegenerateParams"}, id="cross"),
+        pytest.param(PHYSICAL_REDUCED, "eps", {"DegenerateParams", "InfeasibleBalance"}, id="physical"),
+        pytest.param(INFEASIBLE_COOP, "coop", {"InfeasibleBalance"}, id="infeasible-coop"),
+    ])
+    def test_block_equals_each_point_alone(self, text, points, errors):
+        cfg = config(text)
+        if points == "eps":
+            points = [{"a_over_b": r, "epsilon": e} for r in cfg.sweep_a_over_b for e in cfg.sweep_epsilon]
+        else:
+            points = [{"Y": Y} for Y in (1.0, 10.0, 100.0)]
+        block = experiments._reduced_block(cfg, points)
+        alone = [_alone(cfg, p) for p in points]
+        assert [(repr(f), e) for f, e in block] == [(repr(f), e) for f, e in alone]
+        assert {e.split(":")[0] for _, e in block if e} == errors

@@ -94,6 +94,37 @@ class TestFefFidelity:
             with pytest.raises(InvalidDensityMatrix):
                 fef_fidelity(rho)
 
+    def test_stack_matches_each_state_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        drives = [MatchedDrive(r, 1.0, e, cross=c) for r in (1.3, 2.0, 3.7)
+                  for e in (0.0, 0.8, 1.0) for c in (False, True)]
+        stack = np.concatenate([analytic_steady_state(drives), [rand_state(rng) for _ in range(20)]])
+        fids = fef_fidelity(stack)
+        assert fids.shape == (len(stack),)
+        assert fids.tolist() == [fef_fidelity(rho) for rho in stack]
+        assert fef_fidelity(stack[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("entry, value", [
+        pytest.param((0, 0), 1.25, id="trace"),
+        pytest.param((1, 2), np.nan, id="nan"),
+        pytest.param((1, 2), 0.5, id="negative-eigenvalue"),
+        pytest.param((0, 3), 1e-6, id="non-hermitian"),
+    ])
+    def test_stack_raises_the_message_of_its_invalid_matrix(self, entry, value):
+        bad = np.eye(4, dtype=complex) / 4
+        bad[entry] = value
+        if entry != (0, 3):
+            bad[entry[::-1]] = value
+        with pytest.raises(InvalidDensityMatrix) as alone:
+            fef_fidelity(bad)
+        stack = np.array([np.eye(4) / 4] * 5, dtype=complex)
+        stack[2] = bad
+        # a later matrix that fails the trace check does not mask it
+        stack[4, 0, 0] = 2.0
+        with pytest.raises(InvalidDensityMatrix) as stacked:
+            fef_fidelity(stack)
+        assert str(stacked.value) == str(alone.value)
+
 
 class TestFefOracle:
     def test_bell_near_saturation(self):

@@ -164,6 +164,24 @@ class TestAnalyticSteadyState:
         with pytest.raises(DegenerateParams):
             analytic_steady_state(MatchedDrive(1.0, 1.0, 1.0))
 
+    def test_stack_is_each_drive_alone(self):
+        rng = np.random.default_rng(41)
+        drives = [MatchedDrive(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
+                               rng.uniform(), cross=bool(k % 3 == 0)) for k in range(30)]
+        stack = analytic_steady_state(drives)
+        assert stack.shape == (30, 4, 4)
+        assert np.array_equal(stack, [analytic_steady_state(d) for d in drives])
+        assert analytic_steady_state(drives[:0]).shape == (0, 4, 4)
+
+    def test_stack_names_its_first_degenerate_drive(self):
+        drives = [MatchedDrive(2.0, 1.0, 1.0), MatchedDrive(1.5, 1.5, 1.0), MatchedDrive(1.0, 1.0, 1.0)]
+        with pytest.raises(DegenerateParams) as alone:
+            analytic_steady_state(drives[1])
+        with pytest.raises(DegenerateParams) as stacked:
+            analytic_steady_state(drives)
+        assert str(stacked.value) == str(alone.value)
+        assert "|a|=1.5, |b|=1.5, eps=1" in str(alone.value)
+
     def test_valid_density_matrix_on_grid(self):
         for r in (1.2, 2.0, 3.5):
             for eps in (0.0, 0.3, 0.7, 0.98, 1.0):
