@@ -55,10 +55,8 @@ rad/us and times are us.
 
 from __future__ import annotations
 
-import dataclasses
-import sys
 import warnings
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,17 +78,6 @@ _DETUNING_RATIO_WARN = 20.0
 _DETUNINGS = ("Delta_r", "Delta_s", "Delta_t")
 _COUPLINGS = ("Omega_r1", "Omega_s1", "Omega_t1", "Omega_r2", "Omega_s2", "Omega_t2",
               "g_r", "g_s", "kappa1", "kappa2", "gamma_r", "gamma_s", "gamma_t")
-
-
-def _outside_stacklevel() -> int:
-    """``stacklevel`` of the nearest caller outside this module, dataclasses
-    and generated code (a dataclass ``__init__``), for a warning issued by
-    the function that calls this one."""
-    level, frame = 1, sys._getframe(1)
-    while frame is not None and (frame.f_code.co_filename in (__file__, dataclasses.__file__)
-                                 or frame.f_code.co_filename.startswith("<")):
-        level, frame = level + 1, frame.f_back
-    return level
 
 
 @dataclass(frozen=True)
@@ -123,11 +110,8 @@ class PhysicalParams:
     omega_Ls: float
     omega_Lt: float
     epsilon: float
-    #: False skips the detuning-regime warning, for parameters that are only
-    #: a step toward the point (not a field: ``replace`` warns again)
-    warn_regime: InitVar[bool] = True
 
-    def __post_init__(self, warn_regime):
+    def __post_init__(self):
         if not (self.kappa1 > 0 and self.kappa2 > 0):
             raise InvalidParams("cavity decay rates must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -136,16 +120,6 @@ class PhysicalParams:
             raise InvalidParams("detunings must be nonzero")
         if min(self.gamma_r, self.gamma_s, self.gamma_t) < 0:
             raise InvalidParams("linewidths must be non-negative")
-        name_d, delta = min(((n, abs(getattr(self, n))) for n in _DETUNINGS), key=lambda x: x[1])
-        name_c, coupling = max(((n, abs(getattr(self, n))) for n in _COUPLINGS), key=lambda x: x[1])
-        if warn_regime and delta < _DETUNING_RATIO_WARN * coupling:
-            warnings.warn(
-                f"smallest detuning |{name_d}| = {delta:g} MHz is only {delta / coupling:.1f} "
-                f"times the largest coupling |{name_c}| = {coupling:g} MHz "
-                f"(< {_DETUNING_RATIO_WARN:g}): "
-                "outside the large-detuning regime the two-level reduction assumes",
-                stacklevel=_outside_stacklevel(),
-            )
 
     @classmethod
     def symmetric(
@@ -158,25 +132,22 @@ class PhysicalParams:
         Omega_s: complex,
         epsilon: float,
         omega_1: float = 100.0,
-        Omega_t: complex = 0.0,
-        warn_regime: bool = True,
     ) -> "PhysicalParams":
         """Single (g, kappa, gamma, Delta) set, equal for both atoms.
 
-        Lasers start on two-photon resonance around omega_cav = 0; run
-        :func:`stark_balance` afterwards to fix Omega_t (and, in
-        compensated mode, the cavity frequency); it warns for the balanced
-        point, so ``warn_regime=False`` keeps a point from warning twice.
+        Lasers start on two-photon resonance around omega_cav = 0 and
+        Omega_t is 0; run :func:`stark_balance` afterwards to fix Omega_t
+        (and, in compensated mode, the cavity frequency).
         """
         return cls(
             g_r=g, g_s=g, kappa1=kappa, kappa2=kappa,
             gamma_r=gamma, gamma_s=gamma, gamma_t=gamma,
             Delta_r=Delta, Delta_s=Delta, Delta_t=Delta,
-            Omega_r1=Omega_r, Omega_s1=Omega_s, Omega_t1=Omega_t,
-            Omega_r2=Omega_r, Omega_s2=Omega_s, Omega_t2=Omega_t,
+            Omega_r1=Omega_r, Omega_s1=Omega_s, Omega_t1=0.0,
+            Omega_r2=Omega_r, Omega_s2=Omega_s, Omega_t2=0.0,
             omega_1=omega_1, omega_cav=0.0,
             omega_Lr=-omega_1, omega_Ls=+omega_1, omega_Lt=0.0,
-            epsilon=epsilon, warn_regime=warn_regime,
+            epsilon=epsilon,
         )
 
 
@@ -247,6 +218,9 @@ def stark_balance(p: PhysicalParams, mode: str = "compensated") -> PhysicalParam
 
     Raises :class:`InfeasibleBalance` when the required alpha_t has the
     wrong sign for Delta_t, or when eta_r != eta_s in compensated mode.
+    Warns, naming the caller, when the balanced point lies outside the
+    large-detuning regime: its smallest detuning is less than 20 times its
+    largest coupling or rate.
     """
     d = derive_params(p)   # frequencies do not enter it
     if mode == "raman_resonant":
@@ -274,8 +248,18 @@ def stark_balance(p: PhysicalParams, mode: str = "compensated") -> PhysicalParam
                 f"with Delta_t = {p.Delta_t:g} MHz (sign mismatch)"
             )
         omegas_t.append(float(np.sqrt(4.0 * p.Delta_t * alpha_t_needed)))
-    # one rebuild, so the detuning check of the balanced point warns once
-    return replace(p, **frame, Omega_t1=omegas_t[0], Omega_t2=omegas_t[1])
+    p = replace(p, **frame, Omega_t1=omegas_t[0], Omega_t2=omegas_t[1])
+    name_d, delta = min(((n, abs(getattr(p, n))) for n in _DETUNINGS), key=lambda x: x[1])
+    name_c, coupling = max(((n, abs(getattr(p, n))) for n in _COUPLINGS), key=lambda x: x[1])
+    if delta < _DETUNING_RATIO_WARN * coupling:
+        warnings.warn(
+            f"smallest detuning |{name_d}| = {delta:g} MHz is only {delta / coupling:.1f} "
+            f"times the largest coupling |{name_c}| = {coupling:g} MHz "
+            f"(< {_DETUNING_RATIO_WARN:g}): "
+            "outside the large-detuning regime the two-level reduction assumes",
+            stacklevel=2,
+        )
+    return p
 
 
 def balance_residuals(p: PhysicalParams):

@@ -1,10 +1,13 @@
 """Time evolution and steady-state solvers.
 
-Every tier states its generator as operators: a Hamiltonian, factor-2
-dissipator channels and one cascade term (see
-:func:`liouvillian_from_operators`).  They are assembled once into a
-sparse column-stacking superoperator, which is the generator's only
-matrix view.
+Every tier states its master equation once, as operators: a
+Hamiltonian, factor-2 dissipator channels and one cascade term.
+:func:`liouvillian_from_operators` writes them as the no-jump operator
+K = -iH - sum rate c+ c - q a2+ a1 (:func:`no_jump_generator`) plus one
+list of jump terms (w, b, a), so that L(rho) = K rho + rho K+ +
+sum w b rho a+.  The sparse column-stacking superoperator, the
+generator's only matrix view, is assembled from K and the jump list, and
+the steady-state solver's preconditioner inverts the K part.
 
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair acting
 on the column-stacked state.  Hermiticity is restored after every
@@ -24,14 +27,14 @@ scale via ``stiff_rate`` and the integrator caps the step accordingly.
 
 Steady states of every tier are solved directly.  Each builder declares
 a parity P (a +-1 vector on the basis states) that
-:func:`liouvillian_from_operators` checks to be a weak symmetry, so the
-generator maps the even sector (rho++ + rho--) and the odd sector
-(rho+- + rho-+) each into itself, and the steady state is even.  GMRES
-solves the trace-bordered generator on the even sector alone,
-right-preconditioned by the inverse of the shifted no-jump part: a
-Sylvester equation per parity block, solved by Bartels-Stewart with one
-Schur form per block and a recursive blocked triangular solve
-(:class:`ShiftedNoJumpInverse`).  Two probes, one per sector, check that
+:func:`liouvillian_from_operators` checks to be a weak symmetry (K even,
+b and a of each jump term of one parity), so the generator maps the even
+sector (rho++ + rho--) and the odd sector (rho+- + rho-+) each into
+itself, and the steady state is even.  GMRES solves the trace-bordered
+generator on the even sector alone, right-preconditioned by the inverse
+of the shifted no-jump part: a Sylvester equation per parity block,
+solved by Bartels-Stewart with one Schur form per block and a recursive
+blocked triangular solve (:class:`ShiftedNoJumpInverse`).  Two probes, one per sector, check that
 no other eigenvalue sits at zero.  Long-time relaxation remains as an
 independent check.
 
@@ -103,45 +106,12 @@ class LiouvillianAction:
         return self.matvec
 
 
-def _superoperator(h, d2_channels, cascade) -> sp.csr_matrix:
-    """Column-stacking superoperator for -i[H, .] + factor-2 dissipators.
-
-    ``d2_channels`` is a list of (rate, c) entering as rate * D[c];
-    ``cascade`` is (q, a1, a2) entering as
-    -q (a2+ a1 rho + rho a1+ a2 - a1 rho a2+ - a2 rho a1+).
-    """
-    dim = h.shape[0]
-    eye = sp.identity(dim, format="csr", dtype=complex)
-    h = sp.csr_matrix(h)
-    out = -1j * (sp.kron(eye, h, format="csr") - sp.kron(h.T, eye, format="csr"))
-    for rate, c in d2_channels:
-        c = sp.csr_matrix(c)
-        cd = c.conj().T
-        cdc = (cd @ c).tocsr()
-        out = out + rate * (
-            2.0 * sp.kron(c.conj(), c, format="csr")
-            - sp.kron(eye, cdc, format="csr")
-            - sp.kron(cdc.T, eye, format="csr")
-        )
-    q, a1, a2 = cascade
-    a1 = sp.csr_matrix(a1)
-    a2 = sp.csr_matrix(a2)
-    out = out - q * (
-        sp.kron(eye, (a2.conj().T @ a1).tocsr(), format="csr")
-        + sp.kron((a1.conj().T @ a2).T.tocsr(), eye, format="csr")
-        - sp.kron(a2.conj(), a1, format="csr")
-        - sp.kron(a1.conj(), a2, format="csr")
-    )
-    out = out.tocsr()
-    out.sum_duplicates()
-    return out
-
-
 def no_jump_generator(h, d2_channels, cascade) -> np.ndarray:
-    """K with L(rho) = K rho + rho K+ + (jump terms), as a dense matrix.
+    """K = -iH - sum rate c+ c - q a2+ a1, as a dense matrix.
 
-    The operators are those of :func:`_superoperator`, so
-    K = -iH - sum rate c+ c - q a2+ a1.
+    ``d2_channels`` and ``cascade`` are those of
+    :func:`liouvillian_from_operators`, whose generator is
+    L(rho) = K rho + rho K+ + (jump terms).
     """
     k = -1j * sp.csr_matrix(h)
     for rate, c in d2_channels:
@@ -152,35 +122,14 @@ def no_jump_generator(h, d2_channels, cascade) -> np.ndarray:
     return k.toarray()
 
 
-def _parity_of(op, parity: np.ndarray) -> int:
-    """+1 or -1 when ``op`` maps the P = +1 and P = -1 states each into one
-    sector (even or odd operator), 0 for a zero operator.
+def _parities(op, parity: np.ndarray) -> set:
+    """The signs p_i p_j over the nonzero entries op_ij: {1} for an even
+    operator, {-1} for an odd one, both for a mixed one, none for zero.
 
-    ``parity`` holds P's eigenvalue on each basis state; raises
-    :class:`ParityError` when ``op`` mixes even and odd parts.
+    ``parity`` holds P's eigenvalue p_i on each basis state.
     """
     op = sp.coo_matrix(op)
-    signs = np.unique((parity[op.row] * parity[op.col])[op.data != 0])
-    if signs.size > 1:
-        raise ParityError("operator has no definite parity")
-    return int(signs[0]) if signs.size else 0
-
-
-def _check_parity(parity, h, d2_channels, cascade) -> None:
-    """Raise :class:`ParityError` unless rho -> P rho P is a weak symmetry.
-
-    Every jump (each c, and a1 and a2 of the cascade) must have a definite
-    parity, a1 and a2 the same one, and H must be even.  Then c+ c and
-    a2+ a1 are even, so K = -iH - sum rate c+ c - q a2+ a1 is
-    block-diagonal, and L maps each sector into itself.
-    """
-    if _parity_of(h, parity) < 0:
-        raise ParityError("the Hamiltonian, and so K, is not block-diagonal in the declared parity")
-    for _, c in d2_channels:
-        _parity_of(c, parity)
-    _, a1, a2 = cascade
-    if _parity_of(a1, parity) * _parity_of(a2, parity) < 0:
-        raise ParityError("the cascade operators a1 and a2 have opposite parity")
+    return set((parity[op.row] * parity[op.col])[op.data != 0].tolist())
 
 
 def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
@@ -188,20 +137,41 @@ def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
     """The generator of a cascaded master equation, from its operators.
 
     ``h`` is the (dim, dim) Hamiltonian, ``d2_channels`` the (rate, c)
-    dissipators and ``cascade`` the (q, a1, a2) coupling, as in
-    :func:`_superoperator`; dense or sparse operators both work.  The
-    operators are kept in ``meta["operators"]`` for the steady-state
-    solver and the superoperator in ``meta["sparse_superop"]``.
+    dissipators, each entering as rate (2 c rho c+ - c+ c rho - rho c+ c),
+    and ``cascade`` the (q, a1, a2) coupling, entering as
+    -q (a2+ a1 rho + rho a1+ a2 - a1 rho a2+ - a2 rho a1+); dense or
+    sparse operators both work.
+
+    The equation is stated once, as the no-jump operator K of
+    :func:`no_jump_generator` and one list of jump terms (w, b, a), each
+    entering as w b rho a+: (2 rate, c, c) for each channel, and
+    (q, a1, a2) and (q, a2, a1) for the cascade.  So
+    L(rho) = K rho + rho K+ + sum w b rho a+, and on column-stacked states
+    L = I (x) K + conj(K) (x) I + sum w conj(a) (x) b, kept sparse in
+    ``meta["sparse_superop"]``.  The operators are kept in
+    ``meta["operators"]`` for the steady-state solver.
 
     ``meta["parity"]`` declares a parity P as its +-1 eigenvalue on each
-    basis state (all +1 when absent); it is checked to be a weak symmetry
-    (see :func:`_check_parity`), which the steady-state solver relies on.
+    basis state (all +1 when absent).  It is checked to be a weak symmetry,
+    which the steady-state solver relies on: K must be even, and b and a of
+    each jump term must share one definite parity, so that rho -> P rho P
+    commutes with L; otherwise :class:`ParityError` is raised.
     """
     dim = h.shape[0]
     meta = dict(meta or {})
     parity = meta.setdefault("parity", np.ones(dim))
-    _check_parity(parity, h, d2_channels, cascade)
-    lsp = _superoperator(h, d2_channels, cascade)
+    k = no_jump_generator(h, d2_channels, cascade)
+    q, a1, a2 = cascade
+    jumps = [(2.0 * rate, c, c) for rate, c in d2_channels] + [(q, a1, a2), (q, a2, a1)]
+    if -1 in _parities(k, parity):
+        raise ParityError("K is not block-diagonal in the declared parity")
+    if any(len(_parities(b, parity) | _parities(a, parity)) > 1 for _, b, a in jumps):
+        raise ParityError("a jump term b rho a+ needs b and a of one definite parity")
+    k = sp.csr_matrix(k)
+    eye = sp.identity(dim, format="csr", dtype=complex)
+    lsp = sp.kron(eye, k, format="csr") + sp.kron(k.conj(), eye, format="csr")
+    for w, b, a in jumps:
+        lsp = lsp + w * sp.kron(sp.csr_matrix(a).conj(), sp.csr_matrix(b), format="csr")
 
     def matvec(v):
         return lsp @ v

@@ -19,8 +19,8 @@ a/b, epsilon or the cooperativity Y replaced).  The reduced tier takes
 the closed form on a matched drive, from ``drive.*`` or recovered from
 the point's reduced parameters, in blocks of :data:`REDUCED_BLOCK`
 points: one array pass gives the states and fidelities of a block, and a
-block that raises is rerun point by point, so each failing point keeps
-its own error.  The cavity tiers take the qubit marginal of
+block that raises is split in halves until each failing point stands
+alone with its own error.  The cavity tiers take the qubit marginal of
 :func:`converged_steady_state`, one point at a time.  One writer emits
 CSV, SVG, manifest.
 
@@ -34,9 +34,9 @@ evolution of the full tier runs at its stability limit (detunings of
 order 2 pi x 8 GHz against microsecond relaxation), so full-tier
 ``evolve`` runs are slow.
 
-Sweeps with ``--workers N`` send the point function, and with it the
-config, to each worker process once and the points (reduced tier: the
-blocks) in chunks.
+Sweeps with ``--workers N`` send the points (reduced tier: the blocks)
+to the worker processes in chunks, each chunk with the point function
+and, in it, the config.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ class RunManifest:
     points: list
 
     def write(self, path) -> None:
+        # json.dumps without indent runs the C encoder, and the file takes one write
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(vars(self), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(vars(self)) + "\n")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -168,8 +168,6 @@ def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None, Y=None) 
     epsilon = phys["epsilon"] if epsilon is None else epsilon
     g = phys["g"] if Y is None else _coop_g(phys, Y)
     scale = phys["g"] / g if Y is not None else 1.0
-    # stark_balance warns once for the balanced point if it is outside the
-    # large-detuning regime; the steps toward it do not
     p = PhysicalParams.symmetric(
         g=g,
         kappa=phys["kappa1"],
@@ -179,10 +177,9 @@ def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None, Y=None) 
         Omega_s=phys["Omega_s"] * scale,
         epsilon=epsilon,
         omega_1=phys["omega_1"],
-        warn_regime=False,
     )
     if phys["kappa2"] != phys["kappa1"]:
-        p = replace(p, kappa2=phys["kappa2"], warn_regime=False)
+        p = replace(p, kappa2=phys["kappa2"])
     return stark_balance(p, cfg.balance)
 
 
@@ -338,8 +335,9 @@ def _reduced_block(cfg: ExperimentConfig, points: list) -> list:
 
     One array pass takes the closed form and the fully entangled fraction
     of every point.  A block that raises (a degenerate point, an infeasible
-    balance, a failed gate) is rerun point by point, so each failing point
-    gets its own error.
+    balance, a failed gate) is split in halves until each failing point
+    stands alone and gets its own error: O(log n) array passes per failing
+    point.
     """
     try:
         states = analytic_steady_state([_point_model(cfg, "reduced", p) for p in points])
@@ -347,7 +345,8 @@ def _reduced_block(cfg: ExperimentConfig, points: list) -> list:
     except CasqedError as exc:
         if len(points) == 1:
             return [_failed(exc)]
-        return [row for p in points for row in _reduced_block(cfg, [p])]
+        half = len(points) // 2
+        return _reduced_block(cfg, points[:half]) + _reduced_block(cfg, points[half:])
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, points, rows, plot):
@@ -429,30 +428,17 @@ def run_sweep_coop(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int =
                       ("a_over_b", "epsilon", "Y", "g_2pi_MHz", "fidelity"), points, rows, plot)
 
 
-#: the point function of a worker process, set once by _init_worker
-_worker_fn = None
-
-
-def _init_worker(fn) -> None:
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call_worker(task):
-    return _worker_fn(task)
-
-
 def _run_points(fn, tasks, workers: int):
     """``[fn(t) for t in tasks]``, in order, on up to ``workers`` processes.
 
-    ``fn`` (which holds the config) reaches each worker once, through the
-    pool initializer; the tasks go in about four chunks per worker.
+    The tasks go in about four chunks per worker, and ``fn`` (which holds
+    the config) is sent once with each chunk.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     chunksize = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(fn,)) as pool:
-        return list(pool.map(_call_worker, tasks, chunksize=chunksize))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,11 @@ def _ticks(lo: float, hi: float, n: int = 5):
         if span / (step * mult) <= n:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        ticks.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
-    return ticks
+    # ticks i * step from integer indices: their count stays bounded by the
+    # span even where it is below the float resolution of lo and hi
+    first = math.ceil(lo / step)
+    count = math.floor((hi - first * step) / step + 1e-12 * span / step) + 1
+    return [(first + i) * step for i in range(count)]
 
 
 def line_plot(path, series, title="", xlabel="", ylabel="", logx=False) -> None:

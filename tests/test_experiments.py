@@ -16,6 +16,7 @@ from casqed.config import parse_config_text, validate_config
 from casqed.dynamics import integrate, steady_state_nullspace
 from casqed.errors import CasqedError
 from casqed.experiments import (
+    REDUCED_BLOCK,
     TIER_TOLS,
     build_tier,
     converged_steady_state,
@@ -158,3 +159,22 @@ class TestReducedBlocks:
         alone = [_alone(cfg, p) for p in points]
         assert [(repr(f), e) for f, e in block] == [(repr(f), e) for f, e in alone]
         assert {e.split(":")[0] for _, e in block if e} == errors
+
+    def test_failing_point_is_found_by_halving(self, monkeypatch):
+        # one degenerate point (a/b = 1, eps = 1) among 1,024: ten halvings,
+        # two closed-form passes each, after the block's own pass
+        cfg = config(BARE_REDUCED)
+        points = [{"a_over_b": 1.5 + 0.001 * i, "epsilon": 0.9} for i in range(REDUCED_BLOCK)]
+        points[700] = {"a_over_b": 1.0, "epsilon": 1.0}
+        calls = []
+
+        def counted(drives):
+            calls.append(len(drives))
+            return analytic_steady_state(drives)
+
+        monkeypatch.setattr(experiments, "analytic_steady_state", counted)
+        block = experiments._reduced_block(cfg, points)
+        assert len(calls) == 21
+        assert [i for i, (_, e) in enumerate(block) if e] == [700]
+        assert block[700][1].startswith("DegenerateParams")
+        assert all(np.isfinite(f) for i, (f, _) in enumerate(block) if i != 700)

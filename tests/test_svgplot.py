@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from casqed import svgplot
 from casqed.svgplot import line_plot
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -59,3 +62,23 @@ def test_logx_spaces_decades_equally(tmp_path):
     # coordinates carry six significant digits, 5e-4 here
     assert xs[1] - xs[0] == pytest.approx(xs[2] - xs[1], abs=2e-3)
     assert xs[1] - xs[0] > 100
+
+
+def test_y_range_below_float_resolution_finishes(tmp_path):
+    # an effective-tier sweep-coop holds the Raman rates fixed, so its
+    # fidelities across Y can differ by one ulp.  line_plot runs in a child
+    # process with a timeout, its address space capped at 1 GiB: a tick loop
+    # that does not end also grows its list without bound
+    code = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "line_plot = runpy.run_path(sys.argv[1])['line_plot']\n"
+        "line_plot(sys.argv[2], [('Y', [5.0, 50.0], [0.8391419518191396, 0.8391419518191397])],"
+        " logx=True)\n"
+    )
+    path = tmp_path / "ulp.svg"
+    proc = subprocess.run([sys.executable, "-c", code, svgplot.__file__, str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    (pts,) = polylines(path)
+    assert len(pts) == 2
