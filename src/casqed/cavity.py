@@ -33,7 +33,8 @@ offsets
     delta_1 = omega_1 - w_1          (on |1>),
     delta_c = omega_cav - w_cav      (per photon),
 
-and excited levels at delta_1 - Delta_r, -Delta_s, -Delta_t.
+and excited levels at delta_1 - Delta_r, -Delta_s, -Delta_t.  As w_t =
+omega_Lt, the t-laser frequency drops out; only Delta_t enters.
 
 Balance modes
 -------------
@@ -64,7 +65,7 @@ import scipy.sparse as sp
 from .errors import DimensionMismatch, InfeasibleBalance, InvalidParams, UnbalancedShifts
 from .dynamics import LiouvillianAction, liouvillian_from_operators
 from .linalg import TensorSpace, dagger, embed_at, partial_trace
-from .reduced import ReducedParams
+from .reduced import ReducedParams, initial_ground_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -108,7 +109,6 @@ class PhysicalParams:
     omega_cav: float
     omega_Lr: float
     omega_Ls: float
-    omega_Lt: float
     epsilon: float
 
     def __post_init__(self):
@@ -120,6 +120,9 @@ class PhysicalParams:
             raise InvalidParams("detunings must be nonzero")
         if min(self.gamma_r, self.gamma_s, self.gamma_t) < 0:
             raise InvalidParams("linewidths must be non-negative")
+        for name in ("omega_1", "omega_cav", "omega_Lr", "omega_Ls"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite to define the rotating frame")
 
     @classmethod
     def symmetric(
@@ -146,7 +149,7 @@ class PhysicalParams:
             Omega_r1=Omega_r, Omega_s1=Omega_s, Omega_t1=0.0,
             Omega_r2=Omega_r, Omega_s2=Omega_s, Omega_t2=0.0,
             omega_1=omega_1, omega_cav=0.0,
-            omega_Lr=-omega_1, omega_Ls=+omega_1, omega_Lt=0.0,
+            omega_Lr=-omega_1, omega_Ls=+omega_1,
             epsilon=epsilon,
         )
 
@@ -156,7 +159,9 @@ class DerivedParams:
     """Second-order parameters of the two-level reduction (MHz).
 
     beta: Raman rates g_k Omega_ki / (2 Delta_k); alpha: laser light
-    shifts |Omega|^2/(4 Delta); eta: photon shifts g^2/Delta.
+    shifts |Omega|^2/(4 Delta); eta: photon shifts g^2/Delta; delta_1 and
+    delta_c: the static offsets of the rotating frame on |1> and per photon
+    (module docstring).
     """
 
     beta_r: tuple
@@ -166,6 +171,15 @@ class DerivedParams:
     alpha_t: tuple
     eta_r: float
     eta_s: float
+    delta_1: float
+    delta_c: float
+
+    @property
+    def residuals(self) -> tuple:
+        """Per-atom differential ground shift in the rotating frame (MHz)."""
+        return tuple(
+            self.delta_1 + self.alpha_r[i] - self.alpha_s[i] - self.alpha_t[i] for i in range(2)
+        )
 
 
 def derive_params(p: PhysicalParams) -> DerivedParams:
@@ -180,6 +194,8 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
         alpha_t=tuple(abs(o) ** 2 / (4.0 * p.Delta_t) for o in om_t),
         eta_r=p.g_r ** 2 / p.Delta_r,
         eta_s=p.g_s ** 2 / p.Delta_s,
+        delta_1=p.omega_1 - 0.5 * (p.omega_Ls - p.omega_Lr),
+        delta_c=p.omega_cav - 0.5 * (p.omega_Ls + p.omega_Lr),
     )
 
 
@@ -195,14 +211,6 @@ def reduced_params(p: PhysicalParams) -> ReducedParams:
         kappa2=TWO_PI * p.kappa2,
         epsilon=p.epsilon,
     )
-
-
-def _frame_offsets(p: PhysicalParams):
-    w1 = 0.5 * (p.omega_Ls - p.omega_Lr)
-    wcav = 0.5 * (p.omega_Ls + p.omega_Lr)
-    delta_1 = p.omega_1 - w1
-    delta_c = p.omega_cav - wcav
-    return delta_1, delta_c
 
 
 def stark_balance(p: PhysicalParams, mode: str = "compensated") -> PhysicalParams:
@@ -222,7 +230,7 @@ def stark_balance(p: PhysicalParams, mode: str = "compensated") -> PhysicalParam
     large-detuning regime: its smallest detuning is less than 20 times its
     largest coupling or rate.
     """
-    d = derive_params(p)   # frequencies do not enter it
+    d = derive_params(p)   # its alpha and eta do not depend on the frequencies retuned here
     if mode == "raman_resonant":
         frame = {"omega_Lr": p.omega_cav - p.omega_1, "omega_Ls": p.omega_cav + p.omega_1}
         target = 0.0
@@ -262,21 +270,12 @@ def stark_balance(p: PhysicalParams, mode: str = "compensated") -> PhysicalParam
     return p
 
 
-def balance_residuals(p: PhysicalParams):
-    """Per-atom differential ground shift in the rotating frame (MHz)."""
-    d = derive_params(p)
-    delta_1, _ = _frame_offsets(p)
-    return tuple(
-        delta_1 + d.alpha_r[i] - d.alpha_s[i] - d.alpha_t[i] for i in range(2)
-    )
-
-
 @dataclass(frozen=True)
 class ModelSpace:
     """Truncated simulation space: two atoms and two field modes.
 
     ``fock_cutoff`` is the largest retained photon number (states
-    0..fock_cutoff per mode).
+    0..fock_cutoff per mode).  Factors: atom 1, atom 2, mode 1, mode 2.
     """
 
     atom_levels: int
@@ -313,17 +312,22 @@ class ModelSpace:
         photon = (-1.0) ** np.arange(self.nph)
         return np.kron(np.kron(atom, atom), np.kron(photon, photon))
 
+    @property
+    def qubit_index(self) -> list:
+        """Positions of the qubit states |11>, |10>, |01>, |00> (each atom
+        ordered (|1>, |0>)) in the two-atom factor atom 1 (x) atom 2."""
+        la = self.atom_levels
+        return [i * la + j for i in (LVL_1, LVL_0) for j in (LVL_1, LVL_0)]
 
-# ---------------------------------------------------------------------------
-# sparse operator helpers
-# ---------------------------------------------------------------------------
+    def atom(self, i: int, k: int, l: int) -> sp.csr_matrix:
+        """|k><l| on atom i (0 or 1), lifted to the model space."""
+        unit = sp.csr_matrix(([1.0 + 0j], ([k], [l])), shape=(self.atom_levels,) * 2)
+        return embed_at(unit, i, self.tensor_space)
 
-def _sp_destroy(n: int) -> sp.csr_matrix:
-    return sp.diags(np.sqrt(np.arange(1, n)), 1, format="csr", dtype=complex)
-
-
-def _sp_unit(n: int, i: int, j: int) -> sp.csr_matrix:
-    return sp.csr_matrix(([1.0 + 0j], ([i], [j])), shape=(n, n))
+    def mode(self, i: int) -> sp.csr_matrix:
+        """The annihilation operator of atom i's cavity mode, lifted."""
+        destroy = sp.diags(np.sqrt(np.arange(1, self.nph)), 1, format="csr", dtype=complex)
+        return embed_at(destroy, 2 + i, self.tensor_space)
 
 
 def _cavity_channels(p: PhysicalParams, a1, a2):
@@ -346,48 +350,39 @@ def build_effective_liouvillian(p: PhysicalParams, space: ModelSpace) -> Liouvil
     if space.atom_levels != 2:
         raise DimensionMismatch("effective model runs on 2-level atoms")
     d = derive_params(p)
-    delta_1, delta_c = _frame_offsets(p)
-
-    res = balance_residuals(p)
     scale = max(1.0, *(abs(x) for x in (d.alpha_r + d.alpha_s + d.alpha_t)), abs(p.omega_1))
-    for i, r in enumerate(res):
+    for i, r in enumerate(d.residuals):
         if abs(r) > _BALANCE_TOL * scale:
             raise UnbalancedShifts(
                 f"atom {i + 1}: differential ground shift {r:g} MHz; run stark_balance first"
             )
 
-    ts = space.tensor_space
-    n = space.nph
-    sm = _sp_unit(2, LVL_0, LVL_1)   # |0><1| on the (|1>, |0>) basis
-    a_ops = [embed_at(_sp_destroy(n), 2 + i, ts) for i in range(2)]
-
+    modes = (space.mode(0), space.mode(1))
     h = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for i in range(2):
-        sm_i = embed_at(sm, i, ts)
+    for i, a_i in enumerate(modes):
+        sm_i = space.atom(i, LVL_0, LVL_1)
         sp_i = sm_i.conj().T
-        p1_i = embed_at(_sp_unit(2, LVL_1, LVL_1), i, ts)
-        p0_i = embed_at(_sp_unit(2, LVL_0, LVL_0), i, ts)
-        a_i = a_ops[i]
+        p1_i = space.atom(i, LVL_1, LVL_1)
+        p0_i = space.atom(i, LVL_0, LVL_0)
         n_i = (a_i.conj().T @ a_i).tocsr()
         coupling = d.beta_r[i] * (a_i.conj().T @ sm_i) + d.beta_s[i] * (a_i.conj().T @ sp_i)
         h = h + TWO_PI * (
             coupling + coupling.conj().T
-            + (delta_1 + d.alpha_r[i]) * p1_i
+            + (d.delta_1 + d.alpha_r[i]) * p1_i
             + (d.alpha_s[i] + d.alpha_t[i]) * p0_i
-            + (delta_c + d.eta_r) * (n_i @ p0_i)
-            + (delta_c + d.eta_s) * (n_i @ p1_i)
+            + (d.delta_c + d.eta_r) * (n_i @ p0_i)
+            + (d.delta_c + d.eta_s) * (n_i @ p1_i)
         )
 
-    d2, cascade = _cavity_channels(p, a_ops[0], a_ops[1])
+    d2, cascade = _cavity_channels(p, *modes)
     rate_scale = TWO_PI * 2.0 * max(p.kappa1, p.kappa2)
     stiff_rate = TWO_PI * (
         2.0 * max(p.kappa1, p.kappa2)
-        + abs(delta_c) + abs(d.eta_r) + abs(d.eta_s)
-        + 4.0 * max(abs(b) for b in d.beta_r + d.beta_s) * np.sqrt(n)
+        + abs(d.delta_c) + abs(d.eta_r) + abs(d.eta_s)
+        + 4.0 * max(abs(b) for b in d.beta_r + d.beta_s) * np.sqrt(space.nph)
     )
     return liouvillian_from_operators(
-        h, d2, cascade, rate_scale, stiff_rate,
-        {"tier": "effective", "space": space, "parity": space.parity},
+        h, d2, cascade, rate_scale, stiff_rate, {"space": space, "parity": space.parity},
     )
 
 
@@ -403,14 +398,7 @@ def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianA
     """
     if space.atom_levels != 5:
         raise DimensionMismatch("full model runs on 5-level atoms")
-    for name in ("omega_1", "omega_cav", "omega_Lr", "omega_Ls", "omega_Lt"):
-        if not np.isfinite(getattr(p, name)):
-            raise ValueError(f"{name} must be finite to define the rotating frame")
-    delta_1, delta_c = _frame_offsets(p)
-
-    ts = space.tensor_space
-    n = space.nph
-    a_ops = [embed_at(_sp_destroy(n), 2 + i, ts) for i in range(2)]
+    d = derive_params(p)
     omegas = {
         LVL_R: (p.Omega_r1, p.Omega_r2),
         LVL_S: (p.Omega_s1, p.Omega_s2),
@@ -418,49 +406,46 @@ def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianA
     }
     drive_to = {LVL_R: LVL_1, LVL_S: LVL_0, LVL_T: LVL_0}
     level_energy = {
-        LVL_1: delta_1,
+        LVL_1: d.delta_1,
         LVL_0: 0.0,
-        LVL_R: delta_1 - p.Delta_r,
+        LVL_R: d.delta_1 - p.Delta_r,
         LVL_S: -p.Delta_s,
         LVL_T: -p.Delta_t,
     }
     gammas = {LVL_R: p.gamma_r, LVL_S: p.gamma_s, LVL_T: p.gamma_t}
 
+    modes = (space.mode(0), space.mode(1))
     h = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     d2 = []
-    for i in range(2):
-        a_i = a_ops[i]
+    for i, a_i in enumerate(modes):
         for lvl, e in level_energy.items():
             if e != 0.0:
-                h = h + TWO_PI * e * embed_at(_sp_unit(5, lvl, lvl), i, ts)
+                h = h + TWO_PI * e * space.atom(i, lvl, lvl)
         for lvl, oms in omegas.items():
-            v = 0.5 * oms[i] * embed_at(_sp_unit(5, lvl, drive_to[lvl]), i, ts)
+            v = 0.5 * oms[i] * space.atom(i, lvl, drive_to[lvl])
             h = h + TWO_PI * (v + v.conj().T)
-        gr = p.g_r * embed_at(_sp_unit(5, LVL_R, LVL_0), i, ts) @ a_i
-        gs = p.g_s * embed_at(_sp_unit(5, LVL_S, LVL_1), i, ts) @ a_i
+        gr = p.g_r * space.atom(i, LVL_R, LVL_0) @ a_i
+        gs = p.g_s * space.atom(i, LVL_S, LVL_1) @ a_i
         h = h + TWO_PI * (gr + gr.conj().T + gs + gs.conj().T)
         for lvl, gam in gammas.items():
             if gam > 0:
                 for gnd in (LVL_0, LVL_1):
-                    d2.append(
-                        (TWO_PI * gam / 4.0, embed_at(_sp_unit(5, gnd, lvl), i, ts))
-                    )
-    if delta_c != 0.0:
-        for a in a_ops:
-            h = h + TWO_PI * delta_c * (a.conj().T @ a).tocsr()
+                    d2.append((TWO_PI * gam / 4.0, space.atom(i, gnd, lvl)))
+    if d.delta_c != 0.0:
+        for a in modes:
+            h = h + TWO_PI * d.delta_c * (a.conj().T @ a).tocsr()
 
-    d2_cav, cascade = _cavity_channels(p, a_ops[0], a_ops[1])
+    d2_cav, cascade = _cavity_channels(p, *modes)
     rate_scale = TWO_PI * (
         2.0 * max(p.kappa1, p.kappa2) + max(p.gamma_r, p.gamma_s, p.gamma_t)
     )
     om_max = max(abs(o) for pair in omegas.values() for o in pair)
     stiff_rate = TWO_PI * (
         2.0 * max(abs(p.Delta_r), abs(p.Delta_s), abs(p.Delta_t))
-        + 2.0 * abs(delta_1) + om_max + 2.0 * max(p.g_r, p.g_s) * np.sqrt(n)
+        + 2.0 * abs(d.delta_1) + om_max + 2.0 * max(p.g_r, p.g_s) * np.sqrt(space.nph)
     )
     return liouvillian_from_operators(
-        h, d2_cav + d2, cascade, rate_scale, stiff_rate,
-        {"tier": "full", "space": space, "parity": space.parity},
+        h, d2_cav + d2, cascade, rate_scale, stiff_rate, {"space": space, "parity": space.parity},
     )
 
 
@@ -471,21 +456,14 @@ def output_flux_operator(p: PhysicalParams, space: ModelSpace) -> np.ndarray:
     coupling the dark steady state gives zero flux; at epsilon = 0 the
     operator reduces to the bare cavity-2 output 2 kappa2 a2+ a2.
     """
-    ts = space.tensor_space
-    n = space.nph
-    a1 = embed_at(_sp_destroy(n), 2, ts)
-    a2 = embed_at(_sp_destroy(n), 3, ts)
-    c = np.sqrt(2.0 * TWO_PI * p.epsilon * p.kappa1) * a1 + np.sqrt(2.0 * TWO_PI * p.kappa2) * a2
+    c = (np.sqrt(2.0 * TWO_PI * p.epsilon * p.kappa1) * space.mode(0)
+         + np.sqrt(2.0 * TWO_PI * p.kappa2) * space.mode(1))
     return np.asarray((c.conj().T @ c).todense())
 
 
 def vacuum_ground_state(space: ModelSpace) -> np.ndarray:
     """|0_1 0_2> x vacuum as a density matrix on the model space."""
-    dims = space.tensor_space.factor_dims
-    idx = np.ravel_multi_index((LVL_0, LVL_0, 0, 0), dims)
-    rho = np.zeros((space.dim, space.dim), dtype=complex)
-    rho[idx, idx] = 1.0
-    return rho
+    return lift_qubit_state(initial_ground_state(), space)
 
 
 def lift_qubit_state(rho4: np.ndarray, space: ModelSpace) -> np.ndarray:
@@ -493,10 +471,9 @@ def lift_qubit_state(rho4: np.ndarray, space: ModelSpace) -> np.ndarray:
     rho4 = np.asarray(rho4, dtype=complex)
     if rho4.shape != (4, 4):
         raise DimensionMismatch("expected a 4x4 two-qubit state")
-    la = space.atom_levels
-    atoms = np.zeros((la * la, la * la), dtype=complex)
-    qubit_idx = [i * la + j for i in (LVL_1, LVL_0) for j in (LVL_1, LVL_0)]
-    atoms[np.ix_(qubit_idx, qubit_idx)] = rho4
+    qubits = space.qubit_index
+    atoms = np.zeros((space.atom_levels ** 2,) * 2, dtype=complex)
+    atoms[np.ix_(qubits, qubits)] = rho4
     n = space.nph
     vac = np.zeros((n * n, n * n), dtype=complex)
     vac[0, 0] = 1.0
@@ -511,12 +488,8 @@ def qubit_marginal(rho: np.ndarray, space: ModelSpace) -> np.ndarray:
     large-detuning regime is O((Omega/2 Delta)^2) and is discarded).
     """
     atoms = partial_trace(rho, space.tensor_space, keep=(0, 1))
-    la = space.atom_levels
-    if la == 2:
-        block = atoms
-    else:
-        qubit_idx = [i * la + j for i in (LVL_1, LVL_0) for j in (LVL_1, LVL_0)]
-        block = atoms[np.ix_(qubit_idx, qubit_idx)]
+    qubits = space.qubit_index
+    block = atoms[np.ix_(qubits, qubits)]
     block = (block + dagger(block)) / 2.0
     return block / np.real(np.trace(block))
 

@@ -6,8 +6,9 @@
     casqed steady     --config cfg
     casqed metrics    --dm state.dm
 
-Exit codes: 0 success, 1 runtime/convergence failure, 2 config error
-(a bad config file, or a ``--dm`` file that is not a density matrix).
+Exit codes: 0 success, 1 runtime/convergence failure (also a run too large
+to allocate), 2 config error (a bad config file, or a ``--dm`` file that is
+not a density matrix).
 """
 
 from __future__ import annotations
@@ -99,6 +100,11 @@ def main(argv=None) -> int:
         return 2
     except CasqedError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a size the config allows but no allocator can hold (time.n_points,
+        # model.fock_cutoff): numpy refuses it at once
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -65,7 +65,8 @@ def parse_value(text: str):
         if step <= 0:
             raise ValueError("range step must be positive")
         n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-        return [float(lo + i * step) for i in range(n)]
+        # a count no allocator can hold fails here at once, not entry by entry
+        return (lo + np.arange(n) * step).tolist()
     if "," in text:
         return [_parse_scalar(p.strip()) for p in text.split(",") if p.strip()]
     return _parse_scalar(text)
@@ -88,6 +89,9 @@ def parse_config_text(text: str) -> dict:
             out[key] = parse_value(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}", key=key, line=lineno) from exc
+        except (OverflowError, MemoryError) as exc:
+            raise ConfigError(f"line {lineno}: {key} has too many values ({exc})",
+                              key=key, line=lineno) from exc
     return out
 
 
@@ -204,7 +208,7 @@ KEYS = (
     Key("solver.rel_tol", "rel_tol", None, float, "finite > 0", "evolve tolerance; default per tier"),
     Key("solver.abs_tol", "abs_tol", None, float, "finite > 0", "evolve tolerance; default per tier"),
     Key("solver.ss_tol", "ss_tol", "1e-8", float, "finite > 0",
-        "read only by perfbench/checks.py; goes with ROADMAP item 2"),
+        "read only by perfbench/checks.py; goes with ROADMAP item 1"),
     Key("sweep.a_over_b", "sweep_a_over_b", "1.1:4.0:0.1", _list(float), "finite", "sweep-eps axis"),
     Key("sweep.epsilon", "sweep_epsilon", "0.7:1.0:0.01", _list(float), "finite", "sweep-eps axis"),
     Key("sweep.Y", "sweep_Y", "log:1:300:30", _list(float), "finite", "sweep-coop axis"),

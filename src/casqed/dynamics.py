@@ -83,9 +83,9 @@ class LiouvillianAction:
     damping rate used to scale residual tolerances; ``stiff_rate``
     bounds the fastest frequency in the generator (0 for non-stiff
     models).  Generators built by :func:`liouvillian_from_operators`
-    keep their operators in ``meta["operators"]``, their sparse
-    superoperator in ``meta["sparse_superop"]`` and their parity in
-    ``meta["parity"]``.
+    keep their operators in ``meta["operators"]``, their dense no-jump
+    operator K in ``meta["no_jump"]``, their sparse superoperator in
+    ``meta["sparse_superop"]`` and their parity in ``meta["parity"]``.
     """
 
     dim: int
@@ -149,7 +149,8 @@ def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
     L(rho) = K rho + rho K+ + sum w b rho a+, and on column-stacked states
     L = I (x) K + conj(K) (x) I + sum w conj(a) (x) b, kept sparse in
     ``meta["sparse_superop"]``.  The operators are kept in
-    ``meta["operators"]`` for the steady-state solver.
+    ``meta["operators"]``, and the dense K in ``meta["no_jump"]`` for the
+    steady-state solver's preconditioner.
 
     ``meta["parity"]`` declares a parity P as its +-1 eigenvalue on each
     basis state (all +1 when absent).  It is checked to be a weak symmetry,
@@ -167,6 +168,7 @@ def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
         raise ParityError("K is not block-diagonal in the declared parity")
     if any(len(_parities(b, parity) | _parities(a, parity)) > 1 for _, b, a in jumps):
         raise ParityError("a jump term b rho a+ needs b and a of one definite parity")
+    meta["no_jump"] = k
     k = sp.csr_matrix(k)
     eye = sp.identity(dim, format="csr", dtype=complex)
     lsp = sp.kron(eye, k, format="csr") + sp.kron(k.conj(), eye, format="csr")
@@ -456,8 +458,7 @@ class _BorderedSectors:
         self.scale = liouvillian.rate_scale
         self.rhs = liouvillian.rhs_flat()
         self.inverse = ShiftedNoJumpInverse(
-            no_jump_generator(*liouvillian.meta["operators"]),
-            liouvillian.meta["parity"], _SYLVESTER_SHIFT * self.scale,
+            liouvillian.meta["no_jump"], liouvillian.meta["parity"], _SYLVESTER_SHIFT * self.scale,
         )
         self.diag = {sector: np.flatnonzero(index % (d + 1) == 0)
                      for sector, index in self.inverse.index.items()}
@@ -500,9 +501,9 @@ class _BorderedSectors:
 def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
     """Unique trace-one state in the generator's null space.
 
-    Solves (L + w tr) rho = w, w = (rate_scale / d) I, from the operators
-    in ``meta["operators"]`` and the parity P in ``meta["parity"]`` (see
-    :func:`liouvillian_from_operators`).  Tracing the system gives
+    Solves (L + w tr) rho = w, w = (rate_scale / d) I, from the no-jump
+    operator K in ``meta["no_jump"]`` and the parity P in ``meta["parity"]``
+    (see :func:`liouvillian_from_operators`).  Tracing the system gives
     tr rho = 1 and then L rho = 0, so the bordered operator B is regular
     exactly when the null space is one-dimensional.
 

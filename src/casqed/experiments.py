@@ -432,9 +432,11 @@ def _run_points(fn, tasks, workers: int):
     """``[fn(t) for t in tasks]``, in order, on up to ``workers`` processes.
 
     The tasks go in about four chunks per worker, and ``fn`` (which holds
-    the config) is sent once with each chunk.
+    the config) is sent once with each chunk.  The pool forks all its
+    processes at the first submit, so it gets no more than there are tasks.
     """
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     chunksize = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:

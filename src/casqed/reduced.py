@@ -284,5 +284,5 @@ def liouvillian_action(p: ReducedParams) -> LiouvillianAction:
         [(1.0, r1), (1.0, r2)],
         (-2.0 * np.sqrt(p.epsilon), r1, r2),
         rate_scale=p.rate_scale,
-        meta={"tier": "reduced", "parity": np.kron(qubit_parity, qubit_parity)},
+        meta={"parity": np.kron(qubit_parity, qubit_parity)},
     )

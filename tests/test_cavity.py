@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,9 +7,10 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from casqed.cavity import (
+    LVL_0,
+    LVL_1,
     ModelSpace,
     PhysicalParams,
-    balance_residuals,
     build_effective_liouvillian,
     build_full_liouvillian,
     derive_params,
@@ -33,6 +36,7 @@ from casqed.errors import (
     DegenerateSteadyState,
     DimensionMismatch,
     InfeasibleBalance,
+    InvalidParams,
     UnbalancedShifts,
 )
 from casqed import experiments
@@ -208,7 +212,7 @@ class TestStarkBalance:
         assert abs(d.alpha_t[0] - 0.9375) < 1e-12
         assert abs(abs(out.Omega_t1) - np.sqrt(4 * 8000 * 0.9375)) < 1e-9
         assert abs(abs(out.Omega_t1) - 173.2050808) < 1e-6
-        assert max(abs(r) for r in balance_residuals(out)) < 1e-12
+        assert max(abs(r) for r in derive_params(out).residuals) < 1e-12
 
     def test_equal_drives_need_no_t_laser(self):
         p = PhysicalParams.symmetric(
@@ -232,7 +236,7 @@ class TestStarkBalance:
         out = stark_balance(p, "compensated")
         eta = 110.0**2 / 8000.0
         assert abs(out.omega_cav - (0.5 * (out.omega_Ls + out.omega_Lr) - eta)) < 1e-12
-        assert max(abs(r) for r in balance_residuals(out)) < 1e-12
+        assert max(abs(r) for r in derive_params(out).residuals) < 1e-12
 
     def test_compensated_needs_matched_eta(self):
         p = PhysicalParams.symmetric(
@@ -248,7 +252,7 @@ class TestStarkBalance:
         )
         p = p.__class__(**{**p.__dict__, "Omega_r2": 300.0 + 0j})
         out = stark_balance(p, "compensated")
-        assert max(abs(r) for r in balance_residuals(out)) < 1e-10
+        assert max(abs(r) for r in derive_params(out).residuals) < 1e-10
         assert abs(out.Omega_t1) != abs(out.Omega_t2)
 
 
@@ -263,6 +267,60 @@ class TestModelSpace:
             ModelSpace(3, 2)
         with pytest.raises(DimensionMismatch):
             ModelSpace(2, 0)
+
+    @pytest.mark.parametrize("levels", [2, 5])
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_atom_and_mode_are_kronecker_lifts(self, levels, cutoff):
+        # dense np.kron over the factors (atom 1, atom 2, mode 1, mode 2)
+        space = ModelSpace(levels, cutoff)
+        dims = (levels, levels, cutoff + 1, cutoff + 1)
+
+        def lift(op, site):
+            out = np.ones((1, 1))
+            for f, d in enumerate(dims):
+                out = np.kron(out, op if f == site else np.eye(d))
+            return out
+
+        destroy = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+        for i in range(2):
+            for k in range(levels):
+                for l in range(levels):
+                    unit = np.zeros((levels, levels))
+                    unit[k, l] = 1.0
+                    assert np.array_equal(space.atom(i, k, l).toarray(), lift(unit, i))
+            assert np.array_equal(space.mode(i).toarray(), lift(destroy, 2 + i))
+
+    @pytest.mark.parametrize("levels", [2, 5])
+    def test_qubit_index_follows_the_qubit_order(self, levels):
+        # |11>, |10>, |01>, |00> with each atom ordered (|1>, |0>), as the
+        # reduced tier orders them
+        space = ModelSpace(levels, 1)
+        ket = np.eye(levels)
+        expected = [np.flatnonzero(np.kron(ket[a], ket[b]))[0]
+                    for a in (LVL_1, LVL_0) for b in (LVL_1, LVL_0)]
+        assert space.qubit_index == expected
+
+    @pytest.mark.parametrize("levels", [2, 5])
+    @pytest.mark.parametrize("cutoff", [1, 3])
+    def test_vacuum_ground_state_is_one_basis_state(self, levels, cutoff):
+        space = ModelSpace(levels, cutoff)
+        idx = np.ravel_multi_index((LVL_0, LVL_0, 0, 0), space.tensor_space.factor_dims)
+        expected = np.zeros((space.dim, space.dim), dtype=complex)
+        expected[idx, idx] = 1.0
+        assert np.array_equal(vacuum_ground_state(space), expected)
+
+
+@pytest.mark.parametrize("levels", [2, 5])
+def test_non_finite_frame_frequency_is_invalid(levels):
+    # the rotating frame needs every frame frequency finite, in both tiers
+    build = build_effective_liouvillian if levels == 2 else build_full_liouvillian
+    with pytest.raises(InvalidParams, match="omega_1"):
+        p = PhysicalParams.symmetric(g=110, kappa=14.2, gamma=5.2, Delta=8000, Omega_r=200.0,
+                                     Omega_s=100.0, epsilon=0.98, omega_1=np.nan)
+        build(stark_balance(p), ModelSpace(levels, 1))
+    for name in ("omega_cav", "omega_Lr", "omega_Ls"):
+        with pytest.raises(InvalidParams, match=name):
+            build(replace(fig3_like(), **{name: np.inf}), ModelSpace(levels, 1))
 
 
 class TestEffectiveModel:
@@ -402,6 +460,12 @@ class TestDirectSteadyState:
 
 
 class TestParitySectors:
+    @pytest.mark.parametrize("levels,cutoff", TIER_SPACES)
+    def test_generator_keeps_its_no_jump_operator(self, levels, cutoff):
+        # the K the solver reads is the K of the generator's operators
+        act = _tier_action(levels, cutoff)
+        assert np.array_equal(act.meta["no_jump"], no_jump_generator(*act.meta["operators"]))
+
     @pytest.mark.parametrize("levels,cutoff", TIER_SPACES)
     def test_parity_is_a_weak_symmetry(self, levels, cutoff):
         act = _tier_action(levels, cutoff)

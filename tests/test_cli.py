@@ -96,6 +96,8 @@ def test_bad_value_fails_at_load(tmp_path, text):
     pytest.param(REDUCED + "time.n_points = 7.9\n", id="fractional-n_points"),
     pytest.param(FIG3 + "model.fock_cutoff = true\n", id="boolean-fock_cutoff"),
     pytest.param(with_key(REDUCED_COOP, "sweep.Y", "log:1:300:7.9"), id="fractional-log-count"),
+    # a range whose count overflows
+    pytest.param(with_key(REDUCED, "sweep.epsilon", "0:1e300:1e-300"), id="uncountable-range"),
 ])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
     assert run(tmp_path, text) == 2
@@ -345,3 +347,15 @@ def test_invalid_dm_matrix_exits_2_with_one_line(tmp_path, capsys, entry, value)
     assert cli.main(["metrics", "--dm", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("text, command", [
+    pytest.param(REDUCED + "time.n_points = 1e15\n", "evolve", id="n_points"),
+    pytest.param(FIG3 + "model.fock_cutoff = 1e15\n", "evolve", id="fock_cutoff-evolve"),
+    pytest.param(FIG3 + "model.fock_cutoff = 1e15\n", "sweep-eps", id="fock_cutoff-sweep"),
+])
+def test_run_too_large_to_allocate_exits_1_with_one_line(tmp_path, capsys, text, command):
+    # sizes the config accepts but no allocator can hold (7 PiB) fail at once
+    assert run(tmp_path, text, command) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: ")

@@ -55,7 +55,10 @@ def test_comma_list_round_trips(items):
 
 
 @pytest.mark.parametrize("text", ["log:0:1:5", "log:1:10:0", "log:1:10", "1:2:0", "1:2:-1", "1:2",
-                                  "log:1:10:2.5", "log:1:10:true"])
+                                  "log:1:10:2.5", "log:1:10:true",
+                                  # counts no allocator can hold (7 PiB and more), refused at
+                                  # once; entry by entry they grew until the process was killed
+                                  "0:1e300:1e-300", "0:1e15:1", "log:1:10:1e15"])
 def test_bad_ranges_are_config_errors(text):
     with pytest.raises(ConfigError) as info:
         parse_config_text(f"sweep.epsilon = {text}")
@@ -68,3 +71,12 @@ def test_integral_floats_are_counts():
         "model.fock_cutoff = 3.0\ntime.n_points = 1e1\nsweep.Y = log:1:10:4.0\n"))
     assert (cfg.fock_cutoff, cfg.n_points, len(cfg.sweep_Y)) == (3, 10, 4)
     assert type(cfg.fock_cutoff) is int and type(cfg.n_points) is int
+
+
+@SETTINGS
+@given(lo=finite, step=steps, n=st.integers(1, 200), frac=st.floats(0.0, 0.5))
+def test_range_values_are_lo_plus_i_step(lo, step, n, frac):
+    # each value is one rounding of lo + i * step, as Python floats
+    values = parse_value(f"{lo!r}:{lo + (n - 1 + frac) * step!r}:{step!r}")
+    assert values == [lo + i * step for i in range(len(values))]
+    assert all(type(v) is float for v in values)

@@ -178,3 +178,28 @@ class TestReducedBlocks:
         assert [i for i, (_, e) in enumerate(block) if e] == [700]
         assert block[700][1].startswith("DegenerateParams")
         assert all(np.isfinite(f) for i, (f, _) in enumerate(block) if i != 700)
+
+
+def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
+    # the pool forks all its processes at the first submit; a fake pool
+    # records the size it was asked for and starts none
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    assert experiments._run_points(abs, [-1, -2, -3, -4], 64) == [1, 2, 3, 4]
+    assert sizes == [4]
+    assert experiments._run_points(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+    assert sizes == [4, 2]
