@@ -65,7 +65,7 @@ import scipy.sparse as sp
 from .errors import DimensionMismatch, InfeasibleBalance, InvalidParams, UnbalancedShifts
 from .dynamics import LiouvillianAction, liouvillian_from_operators
 from .linalg import TensorSpace, dagger, embed_at, partial_trace
-from .reduced import ReducedParams, initial_ground_state
+from .reduced import ReducedParams, finite_abs2, initial_ground_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,8 +77,8 @@ _ATOM_PARITY = np.array([-1.0, 1.0, -1.0, 1.0, 1.0])
 
 _DETUNING_RATIO_WARN = 20.0
 _DETUNINGS = ("Delta_r", "Delta_s", "Delta_t")
-_COUPLINGS = ("Omega_r1", "Omega_s1", "Omega_t1", "Omega_r2", "Omega_s2", "Omega_t2",
-              "g_r", "g_s", "kappa1", "kappa2", "gamma_r", "gamma_s", "gamma_t")
+_AMPLITUDES = ("Omega_r1", "Omega_s1", "Omega_t1", "Omega_r2", "Omega_s2", "Omega_t2", "g_r", "g_s")
+_COUPLINGS = _AMPLITUDES + ("kappa1", "kappa2", "gamma_r", "gamma_s", "gamma_t")
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,8 @@ class PhysicalParams:
         for name in ("omega_1", "omega_cav", "omega_Lr", "omega_Ls"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidParams(f"{name} must be finite to define the rotating frame")
+        for name in _AMPLITUDES:   # derive_params squares them
+            finite_abs2(name, getattr(self, name))
 
     @classmethod
     def symmetric(
@@ -376,13 +378,8 @@ def build_effective_liouvillian(p: PhysicalParams, space: ModelSpace) -> Liouvil
 
     d2, cascade = _cavity_channels(p, *modes)
     rate_scale = TWO_PI * 2.0 * max(p.kappa1, p.kappa2)
-    stiff_rate = TWO_PI * (
-        2.0 * max(p.kappa1, p.kappa2)
-        + abs(d.delta_c) + abs(d.eta_r) + abs(d.eta_s)
-        + 4.0 * max(abs(b) for b in d.beta_r + d.beta_s) * np.sqrt(space.nph)
-    )
     return liouvillian_from_operators(
-        h, d2, cascade, rate_scale, stiff_rate, {"space": space, "parity": space.parity},
+        h, d2, cascade, rate_scale, {"space": space, "parity": space.parity},
     )
 
 
@@ -439,13 +436,8 @@ def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianA
     rate_scale = TWO_PI * (
         2.0 * max(p.kappa1, p.kappa2) + max(p.gamma_r, p.gamma_s, p.gamma_t)
     )
-    om_max = max(abs(o) for pair in omegas.values() for o in pair)
-    stiff_rate = TWO_PI * (
-        2.0 * max(abs(p.Delta_r), abs(p.Delta_s), abs(p.Delta_t))
-        + 2.0 * abs(d.delta_1) + om_max + 2.0 * max(p.g_r, p.g_s) * np.sqrt(space.nph)
-    )
     return liouvillian_from_operators(
-        h, d2_cav + d2, cascade, rate_scale, stiff_rate, {"space": space, "parity": space.parity},
+        h, d2_cav + d2, cascade, rate_scale, {"space": space, "parity": space.parity},
     )
 
 

@@ -76,8 +76,8 @@ from .reduced import (
 )
 from .svgplot import line_plot
 
-#: default (rel_tol, abs_tol) per tier.  The full tier runs near its
-#: stability cap: at abs_tol 1e-3, DP5 returned matrices that are not states
+#: default (rel_tol, abs_tol) per tier.  The full tier runs at its
+#: stability boundary: at abs_tol 1e-3, DP5 returned matrices that are not states
 #: (||rho||_F 5.9, an eigenvalue of -3.7); at these tolerances the samples
 #: stay states (see TestTierTolerances in tests/test_experiments.py)
 TIER_TOLS = {

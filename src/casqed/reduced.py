@@ -46,6 +46,16 @@ SIGMA_PLUS = SIGMA_MINUS.conj().T                                # |1><0|
 _IDX_11, _IDX_10, _IDX_01, _IDX_00 = 0, 1, 2, 3
 
 
+def finite_abs2(name: str, z) -> float:
+    """|z|^2 of the amplitude ``name``; :class:`InvalidParams` when it is
+    not a finite float.  Squared by ``*``, which overflows to inf where
+    Python's float ``**`` raises OverflowError."""
+    r = math.hypot(z.real, z.imag)
+    if not math.isfinite(r * r):
+        raise InvalidParams(f"{name} = {z:g}: its squared modulus is not a finite float")
+    return r * r
+
+
 @dataclass(frozen=True)
 class ReducedParams:
     """Raman rates and cavity decays of the two-qubit model.
@@ -67,6 +77,8 @@ class ReducedParams:
             raise InvalidParams("cavity decay rates must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
             raise InvalidParams(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        for name in ("beta_r1", "beta_s1", "beta_r2", "beta_s2"):
+            finite_abs2(name, getattr(self, name))
 
     @property
     def rate_scale(self) -> float:
@@ -92,7 +104,7 @@ class MatchedDrive:
     cross: bool = False
 
     def __post_init__(self):
-        if abs(self.a) ** 2 + abs(self.b) ** 2 <= 0.0:
+        if finite_abs2("a", self.a) + finite_abs2("b", self.b) <= 0.0:
             raise InvalidParams("need |a|^2 + |b|^2 > 0")
         if not 0.0 <= self.epsilon <= 1.0:
             raise InvalidParams(f"epsilon must lie in [0, 1], got {self.epsilon}")
@@ -154,6 +166,20 @@ def liouvillian_matrix(p: ReducedParams) -> np.ndarray:
     return liouvillian_action(p).meta["sparse_superop"].toarray()
 
 
+def _scaled(a: complex, b: complex):
+    """(a, b), or, when max(|a|, |b|) lies outside [2^-128, 2^128] and
+    |a|^6 could leave the float range, (a, b) times the power of two that
+    brings it into [1/2, 1).  Drives inside are not scaled, which keeps
+    their bits: the scale is exact in products but not in ``pow``'s cube,
+    which is not correctly rounded.
+    """
+    m = max(abs(a), abs(b))
+    if 2.0**-128 <= m <= 2.0**128:
+        return a, b
+    s = 2.0 ** -math.frexp(m)[1]
+    return a * s, b * s
+
+
 def analytic_steady_state(m) -> np.ndarray:
     """Closed-form steady state of the matched-drive cascaded model.
 
@@ -174,14 +200,16 @@ def analytic_steady_state(m) -> np.ndarray:
     """
     drives = [m] if isinstance(m, MatchedDrive) else list(m)
     eps = np.array([d.epsilon for d in drives], dtype=float)
+    # the formula is homogeneous in (a, b): it depends on a/b only
+    scaled = [_scaled(complex(d.a), complex(d.b)) for d in drives]
     # |a|^2, |b|^2, their cubes and sqrt(eps) a* b are taken per drive in
     # Python floats: numpy's SIMD complex abs, cube and complex product may
     # round the last bit differently, and differently from CPU to CPU
-    xs = [abs(complex(d.a)) ** 2 for d in drives]
-    ys = [abs(complex(d.b)) ** 2 for d in drives]
+    xs = [abs(a) ** 2 for a, _ in scaled]
+    ys = [abs(b) ** 2 for _, b in scaled]
     x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
     x3, y3 = np.array([v**3 for v in xs], dtype=float), np.array([v**3 for v in ys], dtype=float)
-    ab = np.array([math.sqrt(d.epsilon) * complex(d.a).conjugate() * complex(d.b) for d in drives],
+    ab = np.array([math.sqrt(d.epsilon) * a.conjugate() * b for d, (a, b) in zip(drives, scaled)],
                   dtype=complex)
     denom = (x * x + y * y + 2.0 * (1.0 + 2.0 * eps - 4.0 * eps * eps) * x * y) * (x + y)
     degenerate = np.flatnonzero(np.abs(denom) <= 1e-12 * (x + y) ** 3)

@@ -627,6 +627,19 @@ class TestFullModel:
             fids[gam] = fef_fidelity(qubit_marginal(traj.final(), space))
         assert fids[8.0] < fids[0.0] - 1e-3
 
+    def test_stiff_generator_needs_no_declared_rate(self):
+        # no builder states how stiff its generator is: DP5's error control
+        # must find the stable step by itself and stay on the exact trajectory
+        space = ModelSpace(5, 1)
+        act = build_full_liouvillian(scaled_params(gamma=3.0), space)
+        rho0 = vacuum_ground_state(space)
+        traj = integrate(act, rho0, np.linspace(0.0, 0.02, 5), rel_tol=1e-7, abs_tol=1e-8)
+        exact = spla.expm_multiply(act.meta["sparse_superop"], rho0.reshape(-1, order="F"),
+                                   start=0.0, stop=0.02, num=5, endpoint=True)
+        for rho, vec in zip(traj.states, exact):
+            assert np.linalg.norm(rho - vec.reshape(rho.shape, order="F")) <= 1e-4
+            assert np.linalg.eigvalsh(rho).min() >= -1e-6
+
     def test_wrong_space_rejected(self):
         p = scaled_params()
         with pytest.raises(DimensionMismatch):

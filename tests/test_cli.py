@@ -46,7 +46,10 @@ def with_key(text, key, value):
 
 def run(tmp_path, text, command="sweep-eps", *args):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text)
     return cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *args])
 
 
@@ -98,6 +101,11 @@ def test_bad_value_fails_at_load(tmp_path, text):
     pytest.param(with_key(REDUCED_COOP, "sweep.Y", "log:1:300:7.9"), id="fractional-log-count"),
     # a range whose count overflows
     pytest.param(with_key(REDUCED, "sweep.epsilon", "0:1e300:1e-300"), id="uncountable-range"),
+    pytest.param(b"drive.b = \xff1\n", id="not-utf8"),
+    # finite amplitudes whose squares are not
+    pytest.param(with_key(REDUCED, "drive.b", "1e200"), id="huge-drive"),
+    pytest.param(with_key(FIG3, "physical.g_2pi_MHz", "1e200"), id="huge-coupling"),
+    pytest.param(with_key(FIG3, "physical.Omega_s_2pi_MHz", "1e200"), id="huge-Omega_s"),
 ])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
     assert run(tmp_path, text) == 2

@@ -112,6 +112,12 @@ class TestSteadyStateNullspace:
         with pytest.raises(DegenerateSteadyState):
             steady_state_nullspace(liouvillian_action(MatchedDrive(1.0, 1.0, 1.0).params()))
 
+    def test_overflow_raises(self):
+        # the generator grows as b^2: at b = 1e80 the solve overflows, and
+        # must raise rather than return a state of NaNs
+        with pytest.raises(ConvergenceError, match="overflowed"):
+            steady_state_nullspace(liouvillian_action(MatchedDrive(2e80, 1e80, 0.98).params()))
+
     def test_agrees_with_longtime(self):
         m = MatchedDrive(1.6, 1.0, 0.9)
         action = liouvillian_action(m.params())

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from casqed.dynamics import steady_state_nullspace
-from casqed.errors import DegenerateParams, DimensionMismatch
+from casqed.errors import DegenerateParams, DimensionMismatch, InvalidParams
 from casqed.linalg import dagger, unvec, vec_stack
 from casqed.metrics import fef_fidelity, purity
 from casqed.reduced import (
@@ -57,6 +57,12 @@ class TestParams:
     def test_zero_drive_rejected(self):
         with pytest.raises(ValueError):
             MatchedDrive(0.0, 0.0)
+
+    def test_amplitude_whose_square_overflows_rejected(self):
+        with pytest.raises(InvalidParams, match="not a finite float"):
+            MatchedDrive(2e200, 1e200)
+        with pytest.raises(InvalidParams, match="not a finite float"):
+            ReducedParams(1e200, 1, 1, 1)
 
 
 class TestJumpOperators:
@@ -163,6 +169,16 @@ class TestAnalyticSteadyState:
     def test_degenerate_point_raises(self):
         with pytest.raises(DegenerateParams):
             analytic_steady_state(MatchedDrive(1.0, 1.0, 1.0))
+
+    def test_scale_free(self):
+        # the formula depends on a/b only; 1e150 cubed would overflow unscaled
+        for eps in (0.0, 0.8, 0.98):
+            big = analytic_steady_state(MatchedDrive(2e150, 1e150j, eps))
+            assert np.abs(big - analytic_steady_state(MatchedDrive(2.0, 1j, eps))).max() <= 1e-12
+        unit = analytic_steady_state(MatchedDrive(3.0, 1.0, 0.9, cross=True))
+        for b in (1e-150, 1e100, 2.0**500):
+            big = analytic_steady_state(MatchedDrive(3 * b, b, 0.9, cross=True))
+            assert np.abs(big - unit).max() <= 1e-12
 
     def test_stack_is_each_drive_alone(self):
         rng = np.random.default_rng(41)
