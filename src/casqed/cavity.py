@@ -56,6 +56,7 @@ rad/us and times are us.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -272,12 +273,28 @@ def stark_balance(p: PhysicalParams, mode: str = "compensated") -> PhysicalParam
     return p
 
 
+def _read_only(m):
+    """``m`` in canonical form (sorted, no duplicates), its arrays read-only."""
+    m.sum_duplicates()
+    for a in (m.data, m.indices, m.indptr):
+        a.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class ModelSpace:
     """Truncated simulation space: two atoms and two field modes.
 
     ``fock_cutoff`` is the largest retained photon number (states
     0..fock_cutoff per mode).  Factors: atom 1, atom 2, mode 1, mode 2.
+
+    The lifted operators of :meth:`atom` and :meth:`mode`, and their
+    products that the builders weight, depend on no parameter: each is made
+    once per process, keyed by the (frozen, hashable) space, and shared by
+    every later call, so a builder only forms weighted sums of them.  They
+    are canonical, and their arrays are read-only: a write into them, or an
+    in-place operation such as ``*=`` or ``eliminate_zeros``, raises
+    ``ValueError``.  Derive new matrices from them; do not assign entries.
     """
 
     atom_levels: int
@@ -321,24 +338,44 @@ class ModelSpace:
         la = self.atom_levels
         return [i * la + j for i in (LVL_1, LVL_0) for j in (LVL_1, LVL_0)]
 
+    @functools.cache
     def atom(self, i: int, k: int, l: int) -> sp.csr_matrix:
-        """|k><l| on atom i (0 or 1), lifted to the model space."""
+        """|k><l| on atom i (0 or 1), lifted to the model space (cached, read-only)."""
         unit = sp.csr_matrix(([1.0 + 0j], ([k], [l])), shape=(self.atom_levels,) * 2)
-        return embed_at(unit, i, self.tensor_space)
+        return _read_only(embed_at(unit, i, self.tensor_space))
 
+    @functools.cache
     def mode(self, i: int) -> sp.csr_matrix:
-        """The annihilation operator of atom i's cavity mode, lifted."""
+        """The annihilation operator of atom i's cavity mode, lifted (cached, read-only)."""
         destroy = sp.diags(np.sqrt(np.arange(1, self.nph)), 1, format="csr", dtype=complex)
-        return embed_at(destroy, 2 + i, self.tensor_space)
+        return _read_only(embed_at(destroy, 2 + i, self.tensor_space))
 
 
-def _cavity_channels(p: PhysicalParams, a1, a2):
+def _cavity_channels(p: PhysicalParams, space: ModelSpace):
+    a1, a2 = space.mode(0), space.mode(1)
     d2 = [(TWO_PI * p.kappa1, a1), (TWO_PI * p.kappa2, a2)]
     cascade = (2.0 * TWO_PI * np.sqrt(p.epsilon * p.kappa1 * p.kappa2), a1, a2)
     return d2, cascade
 
 
 _BALANCE_TOL = 1e-9
+
+
+@functools.cache
+def _raman_operators(space: ModelSpace) -> tuple:
+    """Per atom, the fixed operators the effective Hamiltonian weights:
+    a+ s-, a+ s+, |1><1|, |0><0|, n |0><0| and n |1><1| (s- = |0><1|,
+    n = a+ a).  Cached per space and read-only, like :meth:`ModelSpace.atom`."""
+    out = []
+    for i in range(2):
+        a = space.mode(i)
+        sm = space.atom(i, LVL_0, LVL_1)
+        p1, p0 = space.atom(i, LVL_1, LVL_1), space.atom(i, LVL_0, LVL_0)
+        n = (a.conj().T @ a).tocsr()
+        ad_sm, ad_sp = a.conj().T @ sm, a.conj().T @ sm.conj().T
+        out.append((_read_only(ad_sm), _read_only(ad_sp), p1, p0,
+                    _read_only(n @ p0), _read_only(n @ p1)))
+    return tuple(out)
 
 
 def build_effective_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianAction:
@@ -359,28 +396,37 @@ def build_effective_liouvillian(p: PhysicalParams, space: ModelSpace) -> Liouvil
                 f"atom {i + 1}: differential ground shift {r:g} MHz; run stark_balance first"
             )
 
-    modes = (space.mode(0), space.mode(1))
+    operators = _raman_operators(space)   # first: a space too large to hold fails here
     h = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for i, a_i in enumerate(modes):
-        sm_i = space.atom(i, LVL_0, LVL_1)
-        sp_i = sm_i.conj().T
-        p1_i = space.atom(i, LVL_1, LVL_1)
-        p0_i = space.atom(i, LVL_0, LVL_0)
-        n_i = (a_i.conj().T @ a_i).tocsr()
-        coupling = d.beta_r[i] * (a_i.conj().T @ sm_i) + d.beta_s[i] * (a_i.conj().T @ sp_i)
+    for i, (ad_sm, ad_sp, p1, p0, n_p0, n_p1) in enumerate(operators):
+        coupling = d.beta_r[i] * ad_sm + d.beta_s[i] * ad_sp
         h = h + TWO_PI * (
             coupling + coupling.conj().T
-            + (d.delta_1 + d.alpha_r[i]) * p1_i
-            + (d.alpha_s[i] + d.alpha_t[i]) * p0_i
-            + (d.delta_c + d.eta_r) * (n_i @ p0_i)
-            + (d.delta_c + d.eta_s) * (n_i @ p1_i)
+            + (d.delta_1 + d.alpha_r[i]) * p1
+            + (d.alpha_s[i] + d.alpha_t[i]) * p0
+            + (d.delta_c + d.eta_r) * n_p0
+            + (d.delta_c + d.eta_s) * n_p1
         )
 
-    d2, cascade = _cavity_channels(p, *modes)
+    d2, cascade = _cavity_channels(p, space)
     rate_scale = TWO_PI * 2.0 * max(p.kappa1, p.kappa2)
     return liouvillian_from_operators(
         h, d2, cascade, rate_scale, {"space": space, "parity": space.parity},
     )
+
+
+@functools.cache
+def _cavity_couplings(space: ModelSpace) -> tuple:
+    """Per atom, the fixed products the full Hamiltonian weights: |r><0| a,
+    |s><1| a and n = a+ a.  Cached per space and read-only, like
+    :meth:`ModelSpace.atom`."""
+    out = []
+    for i in range(2):
+        a = space.mode(i)
+        out.append((_read_only(space.atom(i, LVL_R, LVL_0) @ a),
+                    _read_only(space.atom(i, LVL_S, LVL_1) @ a),
+                    _read_only((a.conj().T @ a).tocsr())))
+    return tuple(out)
 
 
 def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianAction:
@@ -411,28 +457,28 @@ def build_full_liouvillian(p: PhysicalParams, space: ModelSpace) -> LiouvillianA
     }
     gammas = {LVL_R: p.gamma_r, LVL_S: p.gamma_s, LVL_T: p.gamma_t}
 
-    modes = (space.mode(0), space.mode(1))
+    couplings = _cavity_couplings(space)   # first: a space too large to hold fails here
     h = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     d2 = []
-    for i, a_i in enumerate(modes):
+    for i, (r0_a, s1_a, _) in enumerate(couplings):
         for lvl, e in level_energy.items():
             if e != 0.0:
                 h = h + TWO_PI * e * space.atom(i, lvl, lvl)
         for lvl, oms in omegas.items():
             v = 0.5 * oms[i] * space.atom(i, lvl, drive_to[lvl])
             h = h + TWO_PI * (v + v.conj().T)
-        gr = p.g_r * space.atom(i, LVL_R, LVL_0) @ a_i
-        gs = p.g_s * space.atom(i, LVL_S, LVL_1) @ a_i
+        gr = p.g_r * r0_a
+        gs = p.g_s * s1_a
         h = h + TWO_PI * (gr + gr.conj().T + gs + gs.conj().T)
         for lvl, gam in gammas.items():
             if gam > 0:
                 for gnd in (LVL_0, LVL_1):
                     d2.append((TWO_PI * gam / 4.0, space.atom(i, gnd, lvl)))
     if d.delta_c != 0.0:
-        for a in modes:
-            h = h + TWO_PI * d.delta_c * (a.conj().T @ a).tocsr()
+        for _, _, n in couplings:
+            h = h + TWO_PI * d.delta_c * n
 
-    d2_cav, cascade = _cavity_channels(p, *modes)
+    d2_cav, cascade = _cavity_channels(p, space)
     rate_scale = TWO_PI * (
         2.0 * max(p.kappa1, p.kappa2) + max(p.gamma_r, p.gamma_s, p.gamma_t)
     )

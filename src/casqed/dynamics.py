@@ -60,7 +60,7 @@ from .errors import (
     IntegrationError,
     ParityError,
 )
-from .linalg import dagger, unvec
+from .linalg import TensorSpace, dagger, embed_at, unvec
 
 #: state dimension up to which perfbench/checks.py, its only reader, bounds
 #: an effective-sweep point by a null-space target rather than by the
@@ -125,8 +125,9 @@ def _parities(op, parity: np.ndarray) -> set:
 
     ``parity`` holds P's eigenvalue p_i on each basis state.
     """
-    op = sp.coo_matrix(op)
-    return set((parity[op.row] * parity[op.col])[op.data != 0].tolist())
+    op = sp.csr_matrix(op)
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    return set(np.unique((parity[rows] * parity[op.indices])[op.data != 0]).tolist())
 
 
 def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
@@ -167,8 +168,9 @@ def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
         raise ParityError("a jump term b rho a+ needs b and a of one definite parity")
     meta["no_jump"] = k
     k = sp.csr_matrix(k)
-    eye = sp.identity(dim, format="csr", dtype=complex)
-    lsp = sp.kron(eye, k, format="csr") + sp.kron(k.conj(), eye, format="csr")
+    # I (x) K and conj(K) (x) I: K lifted to either factor of Liouville space
+    doubled = TensorSpace((dim, dim))
+    lsp = embed_at(k, 1, doubled) + embed_at(k.conj(), 0, doubled)
     for w, b, a in jumps:
         lsp = lsp + w * sp.kron(sp.csr_matrix(a).conj(), sp.csr_matrix(b), format="csr")
 

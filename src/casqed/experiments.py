@@ -21,8 +21,9 @@ the point's reduced parameters, in blocks of :data:`REDUCED_BLOCK`
 points: one array pass gives the states and fidelities of a block, and a
 block that raises is split in halves until each failing point stands
 alone with its own error.  The cavity tiers take the qubit marginal of
-:func:`converged_steady_state`, one point at a time.  One writer emits
-CSV, SVG, manifest.
+:func:`converged_steady_state`, one point at a time, and record in the
+point's manifest entry the Fock cutoff it accepted and that cutoff's
+top-photon population.  One writer emits CSV, SVG, manifest.
 
 Steady states of the cavity tiers come from a direct solve at each Fock
 cutoff (:func:`~casqed.dynamics.steady_state_nullspace`): GMRES on the
@@ -322,10 +323,13 @@ def _failed(exc: CasqedError):
 
 
 def _steady_point(cfg: ExperimentConfig, tier: str, point: dict):
-    """(fidelity, None) of one cavity-tier sweep point's steady state, or (nan, error)."""
+    """(fidelity, None, manifest fields) of one cavity-tier sweep point's
+    steady state, or (nan, error).  The fields are the accepted Fock
+    ``cutoff`` and its top-photon population ``top_fock``."""
     try:
-        rho, space, _ = converged_steady_state(_point_model(cfg, tier, point), tier, cfg)
-        return float(fef_fidelity(qubit_marginal(rho, space))), None
+        rho, space, cutoff = converged_steady_state(_point_model(cfg, tier, point), tier, cfg)
+        fields = {"cutoff": cutoff, "top_fock": top_fock_population(rho, space)}
+        return float(fef_fidelity(qubit_marginal(rho, space))), None, fields
     except CasqedError as exc:
         return _failed(exc)
 
@@ -353,7 +357,8 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
     """Solve every sweep point; write ``<name>.csv``, ``<name>.svg`` and the manifest.
 
     ``points`` (see :func:`_point_model`) become the manifest's points and
-    gain ``converged`` and ``error``; each of ``rows`` gains its point's
+    gain ``converged``, then ``error`` where they failed, or on the cavity
+    tiers ``cutoff`` and ``top_fock``; each of ``rows`` gains its point's
     fidelity.  ``plot(path, fidelities)`` draws the SVG.  Raises
     :class:`CasqedError` when a point failed.
     """
@@ -374,15 +379,16 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
         results = _run_points(partial(_steady_point, cfg, tier), points, workers)
 
     failed = 0
-    for point, row, (fid, err) in zip(points, rows, results):
+    for point, row, (fid, err, *fields) in zip(points, rows, results):
         row.append(fid)
         point["converged"] = err is None
+        point.update(*fields)
         if err:
             point["error"] = err
             failed += 1
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / f"{name}.csv", header, rows)
-    plot(out_dir / f"{name}.svg", [fid for fid, _ in results])
+    plot(out_dir / f"{name}.svg", [fid for fid, *_ in results])
     RunManifest(cfg.sha256, __version__, seed, time.perf_counter() - t_start, points).write(
         out_dir / "manifest.json"
     )

@@ -64,21 +64,39 @@ def embed_at(op, site: int, space: TensorSpace) -> sp.csr_matrix:
     """Lift a single-subsystem operator to the joint space, as CSR.
 
     Acts as ``op`` on factor ``site`` and as the identity on every other
-    factor.  ``op`` may be dense or sparse; a sparse one is never densified.
+    factor: I_left (x) op (x) I_right, written directly from index
+    arithmetic as canonical CSR, with the indices and values of
+    ``sp.kron`` chained over the factors.  ``op`` may be dense or sparse; a
+    sparse one is never densified.  Each call makes a new matrix;
+    :class:`casqed.cavity.ModelSpace` keeps the lifts of its fixed
+    operators, once per space and read-only.
     """
-    op = op if sp.issparse(op) else sp.csr_matrix(asmatrix(op))
+    op = (op if sp.issparse(op) else sp.csr_matrix(asmatrix(op))).tocsr()
     dims = space.factor_dims
     if not 0 <= site < len(dims):
         raise DimensionMismatch(f"site {site} out of range for {dims}")
-    if op.shape != (dims[site], dims[site]):
-        raise DimensionMismatch(
-            f"operator shape {op.shape} does not match factor dim {dims[site]}"
-        )
-    out = sp.identity(1, format="csr", dtype=complex)
-    for k, d in enumerate(dims):
-        factor = op if k == site else sp.identity(d, format="csr", dtype=complex)
-        out = sp.kron(out, factor, format="csr")
-    return out
+    d = dims[site]
+    if op.shape != (d, d):
+        raise DimensionMismatch(f"operator shape {op.shape} does not match factor dim {d}")
+    if not op.has_canonical_format:
+        op = op.copy()
+        op.sum_duplicates()
+    left, right = int(np.prod(dims[:site])), int(np.prod(dims[site + 1:]))
+    # op (x) I_right: row i right + j holds op's row i, each column c as c right + j
+    counts = np.repeat(np.diff(op.indptr), right)
+    block_ptr = np.concatenate(([0], np.cumsum(counts)))
+    entry = (np.repeat(np.repeat(op.indptr[:-1], right) - block_ptr[:-1], counts)
+             + np.arange(block_ptr[-1]))
+    block_indices = (op.indices.astype(np.int64)[entry] * right
+                     + np.repeat(np.tile(np.arange(right), d), counts))
+    # I_left (x) that block: left copies down the diagonal
+    n, nnz = d * right, left * block_ptr[-1]
+    idx = np.int32 if max(left * n, nnz) <= np.iinfo(np.int32).max else np.int64
+    indices = (np.arange(left)[:, None] * n + block_indices).astype(idx).ravel()
+    indptr = np.concatenate(([0], np.cumsum(np.tile(counts, left)))).astype(idx)
+    # times the identity's complex one, as sp.kron does (it sets the sign of zeros)
+    data = np.tile(op.data[entry], left) * (1.0 + 0j)
+    return sp.csr_matrix((data, indices, indptr), shape=(left * n, left * n))
 
 
 def partial_trace(rho: np.ndarray, space: TensorSpace, keep) -> np.ndarray:

@@ -169,9 +169,9 @@ def liouvillian_matrix(p: ReducedParams) -> np.ndarray:
 def _scaled(a: complex, b: complex):
     """(a, b), or, when max(|a|, |b|) lies outside [2^-128, 2^128] and
     |a|^6 could leave the float range, (a, b) times the power of two that
-    brings it into [1/2, 1).  Drives inside are not scaled, which keeps
-    their bits: the scale is exact in products but not in ``pow``'s cube,
-    which is not correctly rounded.
+    brings it into [1/2, 1).  Drives inside are left as they are, which
+    saves the pass but changes no bit: the squares and cubes are products,
+    in which a power of two is exact.
     """
     m = max(abs(a), abs(b))
     if 2.0**-128 <= m <= 2.0**128:
@@ -204,11 +204,14 @@ def analytic_steady_state(m) -> np.ndarray:
     scaled = [_scaled(complex(d.a), complex(d.b)) for d in drives]
     # |a|^2, |b|^2, their cubes and sqrt(eps) a* b are taken per drive in
     # Python floats: numpy's SIMD complex abs, cube and complex product may
-    # round the last bit differently, and differently from CPU to CPU
-    xs = [abs(a) ** 2 for a, _ in scaled]
-    ys = [abs(b) ** 2 for _, b in scaled]
+    # round the last bit differently, and differently from CPU to CPU.  The
+    # powers are products: ** calls the C library's pow, which is not
+    # correctly rounded, so its last bit depends on the libm
+    xs = [abs(a) * abs(a) for a, _ in scaled]
+    ys = [abs(b) * abs(b) for _, b in scaled]
     x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
-    x3, y3 = np.array([v**3 for v in xs], dtype=float), np.array([v**3 for v in ys], dtype=float)
+    x3 = np.array([v * v * v for v in xs], dtype=float)
+    y3 = np.array([v * v * v for v in ys], dtype=float)
     ab = np.array([math.sqrt(d.epsilon) * a.conjugate() * b for d, (a, b) in zip(drives, scaled)],
                   dtype=complex)
     denom = (x * x + y * y + 2.0 * (1.0 + 2.0 * eps - 4.0 * eps * eps) * x * y) * (x + y)

@@ -39,9 +39,9 @@ from casqed.errors import (
     InvalidParams,
     UnbalancedShifts,
 )
-from casqed import experiments
+from casqed import cavity, experiments
 from casqed.config import parse_config_text, validate_config
-from casqed.linalg import dagger
+from casqed.linalg import dagger, embed_at
 from casqed.metrics import fef_fidelity
 from casqed.reduced import MatchedDrive, analytic_steady_state, liouvillian_action
 
@@ -308,6 +308,92 @@ class TestModelSpace:
         expected = np.zeros((space.dim, space.dim), dtype=complex)
         expected[idx, idx] = 1.0
         assert np.array_equal(vacuum_ground_state(space), expected)
+
+
+def _unit(levels, k, l):
+    unit = np.zeros((levels, levels))
+    unit[k, l] = 1.0
+    return unit
+
+
+def _fresh_lifts(monkeypatch):
+    # every operator a builder uses is lifted anew by embed_at, and the
+    # fixed products are made anew from those lifts: no cache is involved
+    def atom(space, i, k, l):
+        return embed_at(_unit(space.atom_levels, k, l), i, space.tensor_space)
+
+    def mode(space, i):
+        destroy = np.diag(np.sqrt(np.arange(1.0, space.nph)), 1)
+        return embed_at(destroy, 2 + i, space.tensor_space)
+
+    monkeypatch.setattr(ModelSpace, "atom", atom)
+    monkeypatch.setattr(ModelSpace, "mode", mode)
+    for name in ("_raman_operators", "_cavity_couplings"):
+        monkeypatch.setattr(cavity, name, getattr(cavity, name).__wrapped__)
+
+
+def _assert_same_bits(a, b):
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+#: (atom levels, cutoff) of the operator-cache checks
+CACHE_SPACES = [(2, 1), (2, 2), (2, 3), (5, 1), (5, 2)]
+
+
+class TestOperatorCache:
+    # checks.py builds its references with the same builders, so the
+    # benchmark cannot see a cache that hands out stale or altered operators
+
+    @pytest.mark.parametrize("levels,cutoff", CACHE_SPACES)
+    def test_rebuild_is_bit_identical_to_fresh_lifts(self, levels, cutoff, monkeypatch):
+        build = build_effective_liouvillian if levels == 2 else build_full_liouvillian
+        point_a, point_b = fig3_like(3.0, 0.7), fig3_like(2.0, 0.98)
+        space = ModelSpace(levels, cutoff)
+        first = build(point_a, space)
+        build(point_b, space)
+        again = build(point_a, space)
+        with monkeypatch.context() as m:
+            _fresh_lifts(m)
+            fresh = build(point_a, ModelSpace(levels, cutoff))
+        for other in (again, fresh):
+            _assert_same_bits(first.meta["sparse_superop"], other.meta["sparse_superop"])
+            assert first.meta["no_jump"].tobytes() == other.meta["no_jump"].tobytes()
+        # each build is its own generator, whose matvec a caller may rebind
+        again.matvec = None
+        assert first.matvec is not None and first.meta is not again.meta
+
+    @pytest.mark.parametrize("levels,cutoff", CACHE_SPACES)
+    def test_cached_lifts_stay_fresh_lifts(self, levels, cutoff):
+        space = ModelSpace(levels, cutoff)
+        build = build_effective_liouvillian if levels == 2 else build_full_liouvillian
+        build(fig3_like(), space)
+        destroy = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+        for i in range(2):
+            for k in range(levels):
+                for l in range(levels):
+                    _assert_same_bits(space.atom(i, k, l),
+                                      embed_at(_unit(levels, k, l), i, space.tensor_space))
+            _assert_same_bits(space.mode(i), embed_at(destroy, 2 + i, space.tensor_space))
+
+    @pytest.mark.parametrize("levels", [2, 5])
+    def test_cached_matrices_are_read_only(self, levels):
+        space = ModelSpace(levels, 2)
+        build = build_effective_liouvillian if levels == 2 else build_full_liouvillian
+        _, d2, (_, a1, a2) = build(fig3_like(), space).meta["operators"]
+        products = cavity._raman_operators if levels == 2 else cavity._cavity_couplings
+        cached = [space.atom(1, LVL_0, LVL_1), a1, a2] + [c for _, c in d2]
+        cached += [m for per_atom in products(space) for m in per_atom]
+        for m in cached:
+            with pytest.raises(ValueError):
+                m.data[0] = 2.0
+            with pytest.raises(ValueError):
+                m.indices[0] = 0
+            with pytest.raises(ValueError):
+                m *= 2.0
+            with pytest.raises(ValueError):
+                m.eliminate_zeros()
+        assert a1 is space.mode(0) and a2 is space.mode(1)
 
 
 @pytest.mark.parametrize("levels", [2, 5])

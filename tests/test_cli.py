@@ -210,7 +210,7 @@ SWEEPS = {
     "coop-reduced": ("sweep-coop", REDUCED_COOP, "a_over_b,epsilon,Y,g_2pi_MHz,fidelity",
                      ["Y", "converged"], 3),
     "coop-full": ("sweep-coop", WEAK_FULL, "a_over_b,epsilon,Y,g_2pi_MHz,fidelity",
-                  ["Y", "converged"], 1),
+                  ["Y", "converged", "cutoff", "top_fock"], 1),
 }
 
 

@@ -22,6 +22,7 @@ from casqed.experiments import (
     converged_steady_state,
     physical_params,
     run_sweep_coop,
+    run_sweep_eps,
 )
 from casqed.metrics import fef_fidelity
 from casqed.reduced import analytic_steady_state
@@ -68,6 +69,20 @@ class TestConvergedSteadyState:
         assert cutoff == 4
         assert top_fock_population(rho, space) <= 1e-6
         assert abs(fef_fidelity(qubit_marginal(rho, space)) - 0.6237466624) <= 1e-9
+
+    def test_manifest_records_the_accepted_cutoff(self, tmp_path):
+        # each cavity-tier point names the cutoff it kept and that cutoff's
+        # top-photon population; the CSV keeps its columns
+        cfg = config(FIG3 + "sweep.a_over_b = 1.5,4.0\nsweep.epsilon = 0.7\n")
+        run_sweep_eps(cfg, tmp_path)
+        points = json.loads((tmp_path / "manifest.json").read_text())["points"]
+        for point in points:
+            p = physical_params(cfg, a_over_b=point["a_over_b"], epsilon=point["epsilon"])
+            rho, space, cutoff = converged_steady_state(p, "effective", cfg)
+            assert point["cutoff"] == cutoff
+            assert point["top_fock"] == top_fock_population(rho, space)
+        assert [pt["cutoff"] for pt in points] == [3, 4]
+        assert (tmp_path / "sweep_eps.csv").read_text().splitlines()[0] == "a_over_b,epsilon,fidelity"
 
 
 class TestSweepCoop:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from casqed.errors import DimensionMismatch, NonHermitianInput
@@ -124,6 +125,37 @@ class TestEmbedAt:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             embed_at(np.eye(3), 0, TensorSpace((2, 2)))
+
+    @pytest.mark.parametrize("dims", [(5, 5, 3, 3), (2, 2, 4, 4)])
+    def test_matches_the_kron_chain(self, dims):
+        # the direct CSR build against scipy's Kronecker product chained
+        # over the factors: the same indices and the same data
+        rng = np.random.default_rng(17)
+        space = TensorSpace(dims)
+        for site, d in enumerate(dims):
+            dense = rand_complex(rng, (d, d)) * (rng.random((d, d)) < 0.5)
+            destroy = sp.diags(np.sqrt(np.arange(1.0, d)), 1, format="csr", dtype=complex)
+            unit = sp.csr_matrix(([1.0 + 0j], ([d - 1], [0])), shape=(d, d))
+            for op in (dense, destroy, unit):
+                chain = sp.identity(1, format="csr", dtype=complex)
+                for k, dk in enumerate(dims):
+                    factor = sp.csr_matrix(op) if k == site else sp.identity(dk, format="csr",
+                                                                             dtype=complex)
+                    chain = sp.kron(chain, factor, format="csr")
+                lifted = embed_at(op, site, space)
+                assert lifted.has_canonical_format
+                assert np.array_equal(lifted.indptr, chain.indptr)
+                assert np.array_equal(lifted.indices, chain.indices)
+                assert np.array_equal(lifted.data, chain.data)
+
+    def test_duplicate_entries_are_summed(self):
+        # a sparse operator in non-canonical form lifts as its sum
+        dup = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]), np.array([0, 3, 3])),
+                            shape=(2, 2))
+        space = TensorSpace((3, 2, 2))
+        lifted = embed_at(dup, 1, space)
+        assert lifted.has_canonical_format
+        assert_allclose(lifted.toarray(), embed_at(dup.toarray(), 1, space).toarray())
 
 
 class TestPartialTrace:
