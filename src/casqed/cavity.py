@@ -273,11 +273,34 @@ def stark_balance(p: PhysicalParams, mode: str = "compensated") -> PhysicalParam
     return p
 
 
+class _FixedCSR(sp.csr_matrix):
+    """A CSR matrix that, once fixed, keeps its arrays.
+
+    Writing into a read-only array raises, but item assignment or
+    ``setdiag`` at a new position, or ``resize``, would rebind the
+    matrix's arrays instead; on a fixed matrix that raises ``ValueError``
+    too.  Matrices derived from it (sums, products, conversions) are not
+    fixed.
+    """
+
+    _fixed = False
+
+    def __setattr__(self, name, value):
+        if self._fixed and name in ("data", "indices", "indptr") \
+                and value is not getattr(self, name):
+            raise ValueError(f"the {name} of a cached operator is read-only")
+        super().__setattr__(name, value)
+
+
 def _read_only(m):
-    """``m`` in canonical form (sorted, no duplicates), its arrays read-only."""
+    """``m`` as canonical CSR (sorted, no duplicates) with read-only arrays
+    that it cannot rebind (see :class:`_FixedCSR`)."""
+    m = m.tocsr()
     m.sum_duplicates()
+    m = _FixedCSR((m.data, m.indices, m.indptr), shape=m.shape)
     for a in (m.data, m.indices, m.indptr):
         a.flags.writeable = False
+    m._fixed = True
     return m
 
 
@@ -292,9 +315,10 @@ class ModelSpace:
     products that the builders weight, depend on no parameter: each is made
     once per process, keyed by the (frozen, hashable) space, and shared by
     every later call, so a builder only forms weighted sums of them.  They
-    are canonical, and their arrays are read-only: a write into them, or an
-    in-place operation such as ``*=`` or ``eliminate_zeros``, raises
-    ``ValueError``.  Derive new matrices from them; do not assign entries.
+    are canonical, and their arrays are read-only and bound to them: a write
+    into them, an in-place operation such as ``*=`` or ``eliminate_zeros``,
+    item assignment, ``setdiag`` and ``resize`` all raise ``ValueError``.
+    Derive new matrices from them.
     """
 
     atom_levels: int

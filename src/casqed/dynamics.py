@@ -6,16 +6,24 @@ Hamiltonian, factor-2 dissipator channels and one cascade term.
 K = -iH - sum rate c+ c - q a2+ a1 (:func:`no_jump_generator`) plus one
 list of jump terms (w, b, a), so that L(rho) = K rho + rho K+ +
 sum w b rho a+.  The sparse column-stacking superoperator, the
-generator's only matrix view, is assembled from K and the jump list, and
-the steady-state solver's preconditioner inverts the K part.
+generator's only matrix view, is assembled from K and the jump list and
+stored as one block per parity sector (below), and the steady-state
+solver's preconditioner inverts the K part.
 
 The integrator is an adaptive embedded Dormand-Prince 5(4) pair acting
-on the column-stacked state.  Hermiticity is restored after every
-accepted step (rho <- (rho + rho+)/2); the trace is conserved exactly
-by linearity of a trace-preserving generator, and drift beyond 1e-9 is
-treated as an integrator failure.  Positivity is never projected:
-violations surface in the returned states and are the caller's signal
-that tolerances were too loose.
+on the column-stacked state.  The generator maps each parity sector into
+itself, so DP5 advances only the entries of the sectors rho0 occupies
+(the even one alone from the vacuum ground state): the stages, the error
+estimate and the FSAL stage are vectors of those entries, scattered into
+a full vector only to apply the generator and to return a sample.  The
+other entries stay exact zeros, so the RMS error norm still divides by
+all d^2 entries, and the steps are those of DP5 on the full state.
+Hermiticity is restored after every accepted step (rho <- (rho + rho+)/2)
+on the occupied entries, as rho_ij and rho_ji share a sector; the trace
+is conserved exactly by linearity of a trace-preserving generator, and
+drift beyond 1e-9 is treated as an integrator failure.  Positivity is
+never projected: violations surface in the returned states and are the
+caller's signal that tolerances were too loose.
 
 Strongly detuned models are stiff, and no builder states how stiff.
 Error control finds the stable step by itself (Hairer & Wanner, *Solving
@@ -60,7 +68,7 @@ from .errors import (
     IntegrationError,
     ParityError,
 )
-from .linalg import TensorSpace, dagger, embed_at, unvec
+from .linalg import dagger, unvec
 
 #: state dimension up to which perfbench/checks.py, its only reader, bounds
 #: an effective-sweep point by a null-space target rather than by the
@@ -81,9 +89,11 @@ class LiouvillianAction:
     residual tolerances.  Generators built by
     :func:`liouvillian_from_operators` keep their operators in
     ``meta["operators"]``, their dense no-jump operator K in
-    ``meta["no_jump"]``, their parity in ``meta["parity"]`` and their
-    sparse superoperator, built from K and the jump list and applied by
-    ``matvec``, in ``meta["sparse_superop"]``.
+    ``meta["no_jump"]`` and their parity in ``meta["parity"]``.  Their
+    sparse superoperator, built from K and the jump list, is stored as
+    one CSR block per parity sector; ``matvec`` multiplies the blocks of
+    the sectors in which its input has a nonzero (or NaN) entry, and
+    ``meta["sparse_superop"]`` assembles the whole matrix on access.
     """
 
     dim: int
@@ -145,10 +155,15 @@ def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
     entering as w b rho a+: (2 rate, c, c) for each channel, and
     (q, a1, a2) and (q, a2, a1) for the cascade.  So
     L(rho) = K rho + rho K+ + sum w b rho a+, and on column-stacked states
-    L = I (x) K + conj(K) (x) I + sum w conj(a) (x) b, kept sparse in
-    ``meta["sparse_superop"]``.  The operators are kept in
-    ``meta["operators"]``, and the dense K in ``meta["no_jump"]`` for the
-    steady-state solver's preconditioner.
+    L = I (x) K + conj(K) (x) I + sum w conj(a) (x) b.  All of its terms
+    are summed in one sparse merge, straight into one CSR block per parity
+    sector (see :func:`_sector_blocks`), each nonzero stored once.  The
+    returned ``matvec`` multiplies only the blocks of the sectors in which
+    its input has a nonzero entry (a NaN counts), and gives the bits of
+    the whole matrix's product.  ``meta["sparse_superop"]`` assembles that
+    whole CSR anew on each access; it is not kept.  The operators are kept
+    in ``meta["operators"]``, and the dense K in ``meta["no_jump"]`` for
+    the steady-state solver's preconditioner.
 
     ``meta["parity"]`` declares a parity P as its +-1 eigenvalue on each
     basis state (all +1 when absent).  It is checked to be a weak symmetry,
@@ -167,19 +182,109 @@ def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
     if any(len(_parities(b, parity) | _parities(a, parity)) > 1 for _, b, a in jumps):
         raise ParityError("a jump term b rho a+ needs b and a of one definite parity")
     meta["no_jump"] = k
-    k = sp.csr_matrix(k)
-    # I (x) K and conj(K) (x) I: K lifted to either factor of Liouville space
-    doubled = TensorSpace((dim, dim))
-    lsp = embed_at(k, 1, doubled) + embed_at(k.conj(), 0, doubled)
-    for w, b, a in jumps:
-        lsp = lsp + w * sp.kron(sp.csr_matrix(a).conj(), sp.csr_matrix(b), format="csr")
+    meta["operators"] = (h, d2_channels, cascade)
+    sectors = _sector_rows(parity)
+    blocks = _sector_blocks(k, jumps, sectors)
 
     def matvec(v):
-        return lsp @ v
+        v = np.asarray(v)
+        out = np.zeros(v.shape, dtype=complex)
+        for rows, block in zip(sectors, blocks):
+            part = v[rows]
+            if part.any():   # a NaN is nonzero
+                out[rows] = block @ part
+        return out
 
-    meta["sparse_superop"] = lsp
-    meta["operators"] = (h, d2_channels, cascade)
-    return LiouvillianAction(dim=dim, matvec=matvec, rate_scale=rate_scale, meta=meta)
+    return LiouvillianAction(dim=dim, matvec=matvec, rate_scale=rate_scale,
+                             meta=_SuperoperatorMeta(meta, sectors, blocks))
+
+
+def _sector_rows(parity: np.ndarray) -> list:
+    """The positions of each nonempty parity sector in a column-stacked state.
+
+    Entry i + d j of vec(rho) lies in the even sector when p_i p_j = 1 and in
+    the odd one when p_i p_j = -1; the even sector comes first, and each
+    array ascends.  All +1 (no declared parity) gives one sector.
+    """
+    sign = np.kron(parity, parity)
+    return [rows for rows in (np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)) if rows.size]
+
+
+def _sector_blocks(k: np.ndarray, jumps, sectors) -> list:
+    """I (x) K + conj(K) (x) I + sum w conj(a) (x) b, one CSR block per sector.
+
+    L maps each sector into itself, so it is the direct sum of its blocks
+    L_ss: block s acts on the entries ``sectors[s]`` of a column-stacked
+    state, which it numbers 0, 1, ... in that (ascending) order.  All terms
+    are summed in one sparse merge of the entries of every Kronecker
+    product, numbered with the sectors stacked, and the blocks are views of
+    its arrays: each nonzero is stored once.
+
+    The merge gives the bits of the term-by-term sum whenever at most two
+    terms share a position (addition commutes), as in every tier: a jump
+    term has i != k and j != l at its entries (i + d j, k + d l), which
+    I (x) K (j = l) and conj(K) (x) I (i = k) never have, and no two jump
+    terms of a tier share a position.  A zero part of an entry ends as +0,
+    as after the term-by-term sum's last addition, and entries that sum to
+    zero are dropped.
+    """
+    d = k.shape[0]
+    n = d * d
+    idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    stacked = np.empty(n, dtype=idx)   # each column-stacked entry's number, sectors stacked
+    stacked[np.concatenate(sectors)] = np.arange(n)
+    eye = sp.identity(d, dtype=complex, format="coo")
+    k = sp.coo_matrix(k)
+    # (w, A, B) of each term w A (x) B
+    factors = [(1.0, eye, k), (1.0, k.conj(), eye)]
+    factors += [(w, sp.coo_matrix(a).conj(), sp.coo_matrix(b)) for w, b, a in jumps]
+    size = sum(x.nnz * y.nnz for _, x, y in factors)
+    rows, cols = np.empty(size, dtype=idx), np.empty(size, dtype=idx)
+    values = np.empty(size, dtype=complex)
+    start = 0
+    for w, x, y in factors:
+        stop = start + x.nnz * y.nnz
+        rows[start:stop] = stacked[(d * x.row.astype(np.intp))[:, None] + y.row].ravel()
+        cols[start:stop] = stacked[(d * x.col.astype(np.intp))[:, None] + y.col].ravel()
+        values[start:stop] = (x.data[:, None] * y.data).ravel() * w
+        start = stop
+    lsp = sp.csr_matrix((values, (rows, cols)), shape=(n, n))   # sums duplicate positions
+    del rows, cols, values
+    lsp.eliminate_zeros()
+    lsp.data += 0.0   # a zero part ends as +0
+    blocks, start = [], 0
+    for sector in sectors:
+        ptr = lsp.indptr[start:start + sector.size + 1]
+        entries = slice(ptr[0], ptr[-1])
+        lsp.indices[entries] -= start
+        blocks.append(sp.csr_matrix((lsp.data[entries], lsp.indices[entries], ptr - ptr[0]),
+                                    shape=(sector.size, sector.size)))
+        start += sector.size
+    return blocks
+
+
+class _SuperoperatorMeta(dict):
+    """The ``meta`` of a generator stored as sector blocks.
+
+    ``meta["sparse_superop"]`` assembles the column-stacking superoperator
+    as one CSR from the blocks on each access.  It is never stored, so the
+    generator keeps each nonzero once, and the caller owns what it gets.
+    """
+
+    def __init__(self, meta: dict, sectors: list, blocks: list):
+        super().__init__(meta)
+        self._sectors, self._blocks = sectors, blocks
+
+    def __missing__(self, key):
+        if key != "sparse_superop":
+            raise KeyError(key)
+        rows = np.concatenate(self._sectors)
+        stacked = np.empty(rows.size, dtype=np.intp)
+        stacked[rows] = np.arange(rows.size)
+        # each block's rows with column-stacked column indices, sectors stacked
+        wide = [sp.csr_matrix((b.data, sector[b.indices], b.indptr), shape=(b.shape[0], rows.size))
+                for sector, b in zip(self._sectors, self._blocks)]
+        return sp.vstack(wide, format="csr")[stacked]
 
 
 @dataclass
@@ -229,9 +334,14 @@ def _check_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
     return (rho0 + dagger(rho0)) / 2.0
 
 
-def _resym(v: np.ndarray, dim: int) -> np.ndarray:
-    r = v.reshape((dim, dim), order="F")
-    return ((r + dagger(r)) / 2.0).reshape(-1, order="F")
+def _occupied(liouvillian: LiouvillianAction, y: np.ndarray) -> np.ndarray:
+    """The ascending positions of the parity sectors in which the
+    column-stacked state ``y`` has a nonzero entry (see :func:`_sector_rows`)."""
+    parity = liouvillian.meta.get("parity", np.ones(liouvillian.dim))
+    mask = np.zeros(y.size, dtype=bool)
+    for rows in _sector_rows(parity):
+        mask[rows] = y[rows].any()
+    return np.flatnonzero(mask)
 
 
 def integrate(
@@ -259,19 +369,39 @@ def integrate(
 
     t = float(times[0])
     y = rho0.reshape(-1, order="F").copy()
-    out = [unvec(y.copy())]
     trace0 = np.real(np.trace(rho0))
 
     span = max(times[-1] - times[0], 0.0)
     if span == 0.0:
         return Trajectory(times=times, states=[unvec(y.copy()) for _ in times])
 
+    # DP5 advances the entries of the sectors rho0 occupies; L keeps the
+    # others at exact zeros, which stay in ``full`` between generator calls
+    occupied = _occupied(liouvillian, y)
+    full = np.zeros(y.size, dtype=complex)
+
+    def rhs_occupied(x):
+        full[occupied] = x
+        return rhs(full)[occupied]
+
+    def sample(x):
+        state = np.zeros(full.size, dtype=complex)
+        state[occupied] = x
+        return unvec(state)
+
+    # rho+ pairs entry i + d j with j + d i, which lies in the same sector
+    position = np.empty(y.size, dtype=np.intp)
+    position[occupied] = np.arange(occupied.size)
+    partner = position[(occupied % dim) * dim + occupied // dim]
+    y = y[occupied]
+    out = [sample(y)]
+
     scale = max(liouvillian.rate_scale, 1e-300)
     h = min(span / 100.0, 0.1 / scale)
     h_min = max(span, 1.0 / scale) * 1e-14
 
     k = np.empty((7, y.size), dtype=complex)
-    k[0] = rhs(y)
+    k[0] = rhs_occupied(y)
     states_iter = iter(range(1, times.size))
     next_i = next(states_iter, None)
 
@@ -287,26 +417,27 @@ def integrate(
             h_use = h
         if h_use <= 0.0:
             # duplicate time point
-            out.append(unvec(y.copy()))
+            out.append(sample(y))
             next_i = next(states_iter, None)
             continue
 
         for i in range(1, 7):
-            k[i] = rhs(y + (h_use * _DP_A[i]) @ k[:i])
+            k[i] = rhs_occupied(y + (h_use * _DP_A[i]) @ k[:i])
         y5 = y + (h_use * _DP_B5) @ k
         err_vec = (h_use * _DP_E) @ k
 
+        # RMS over all d^2 entries: the unoccupied ones add exact zeros
         sc = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((np.abs(err_vec) / sc) ** 2)))
+        err = float(np.sqrt(np.sum((np.abs(err_vec) / sc) ** 2) / full.size))
 
         if err <= 1.0:
             t = t + h_use
-            y = _resym(y5, dim)
+            y = (y5 + y5[partner].conj()) / 2.0
             # FSAL: stage 7 was evaluated at y5; the symmetrization shift
             # is pure rounding noise, so k7 serves as the next step's k1
             k[0] = k[6]
             if clipped and abs(t - t_target) <= 1e-12 * max(1.0, abs(t_target)):
-                out.append(unvec(y.copy()))
+                out.append(sample(y))
                 next_i = next(states_iter, None)
             # no growth right after a rejection: at the stability boundary
             # this keeps the step from cycling between rejected and accepted
@@ -440,7 +571,8 @@ class _BorderedSectors:
     the diagonal, which is even; on the odd sector B is L.  GMRES runs on
     sector vectors (see :class:`ShiftedNoJumpInverse`), right-preconditioned
     by the shifted no-jump inverse; the generator is applied through
-    ``liouvillian.matvec`` on the full vector, scattered and gathered.
+    ``liouvillian.matvec`` on the full vector, scattered and gathered, which
+    multiplies that sector's block alone.
     """
 
     def __init__(self, liouvillian: LiouvillianAction):

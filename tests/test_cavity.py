@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from casqed.dynamics import (
     ShiftedNoJumpInverse,
     _BorderedSectors,
     integrate,
+    liouvillian_from_operators,
     no_jump_generator,
     steady_state_nullspace,
 )
@@ -394,6 +396,137 @@ class TestOperatorCache:
             with pytest.raises(ValueError):
                 m.eliminate_zeros()
         assert a1 is space.mode(0) and a2 is space.mode(1)
+
+    @pytest.mark.parametrize("levels", [2, 5])
+    def test_assignment_cannot_alter_the_cache(self, levels, monkeypatch):
+        # item assignment at a new position, setdiag and resize rebind a
+        # matrix's arrays rather than write into them; on a cached operator
+        # each raises, and later builds still equal builds from fresh lifts
+        space = ModelSpace(levels, 2)
+        build = build_effective_liouvillian if levels == 2 else build_full_liouvillian
+        build(fig3_like(), space)
+        products = cavity._raman_operators if levels == 2 else cavity._cavity_couplings
+        cached = [space.atom(0, LVL_0, LVL_1), space.atom(1, LVL_1, LVL_1),
+                  space.mode(0), space.mode(1)]
+        cached += [m for per_atom in products(space) for m in per_atom]
+
+        def assign(m):
+            m[0, m.shape[1] - 1] = 3.0
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+            for m in cached:
+                for change in (assign, lambda m: m.setdiag(2.0), lambda m: m.resize((3, 3))):
+                    with pytest.raises(ValueError):
+                        change(m)
+        again = build(fig3_like(), space)
+        with monkeypatch.context() as mp:
+            _fresh_lifts(mp)
+            fresh = build(fig3_like(), ModelSpace(levels, 2))
+        _assert_same_bits(again.meta["sparse_superop"], fresh.meta["sparse_superop"])
+        assert again.meta["no_jump"].tobytes() == fresh.meta["no_jump"].tobytes()
+        # what a build derives from the cache is an ordinary matrix
+        derived = 2.0 * space.mode(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
+            assign(derived)
+        assert derived[0, derived.shape[1] - 1] == 3.0
+
+
+def _chained_superoperator(act):
+    # I (x) K + conj(K) (x) I, then each jump term added in turn, all by sp.kron
+    _, d2, (q, a1, a2) = act.meta["operators"]
+    k = sp.csr_matrix(act.meta["no_jump"])
+    eye = sp.identity(act.dim, dtype=complex, format="csr")
+    lsp = sp.kron(eye, k, format="csr") + sp.kron(k.conj(), eye, format="csr")
+    for w, b, a in [(2.0 * rate, c, c) for rate, c in d2] + [(q, a1, a2), (q, a2, a1)]:
+        lsp = lsp + w * sp.kron(sp.csr_matrix(a).conj(), sp.csr_matrix(b), format="csr")
+    return lsp
+
+
+def _sector_sign(act):
+    # p_i p_j of entry i + d j of a column-stacked state
+    return np.kron(act.meta["parity"], act.meta["parity"])
+
+
+def _strip_parity(act):
+    # the same generator without a declared parity: one sector, the full space
+    h, d2, cascade = act.meta["operators"]
+    return liouvillian_from_operators(h, d2, cascade, act.rate_scale)
+
+
+def _counted_integrate(act, rho0, times):
+    inner, calls = act.matvec, []
+
+    def counted(v):
+        calls.append(1)
+        return inner(v)
+
+    act.matvec = counted
+    traj = integrate(act, rho0, times, rel_tol=1e-7, abs_tol=1e-8)
+    return traj, len(calls)
+
+
+class TestSectorBlocks:
+    @pytest.mark.parametrize("levels,cutoff", TIER_SPACES + [(2, 4)])
+    def test_one_merge_is_the_chained_sum(self, levels, cutoff):
+        # the superoperator has the bits of the term-by-term sum
+        act = _tier_action(levels, cutoff)
+        _assert_same_bits(act.meta["sparse_superop"], _chained_superoperator(act))
+
+    @pytest.mark.parametrize("levels,cutoff", [pytest.param(None, None, id="reduced"),
+                                               (2, 2), (5, 1)])
+    def test_matvec_is_the_assembled_superoperator(self, levels, cutoff):
+        act = _tier_action(levels, cutoff)
+        lsp = sp.csr_matrix(act.meta["sparse_superop"])
+        sign = _sector_sign(act)
+        rng = np.random.default_rng(67)
+        mixed = rng.normal(size=sign.size) + 1j * rng.normal(size=sign.size)
+        even, odd = mixed * (sign > 0), mixed * (sign < 0)
+        nan_odd, nan_even = even.copy(), odd.copy()
+        nan_odd[np.flatnonzero(sign < 0)[5]] = np.nan   # the odd block must run
+        nan_even[np.flatnonzero(sign > 0)[5]] = np.nan
+        for v in (even, odd, mixed, np.zeros_like(mixed), nan_odd, nan_even):
+            assert act.matvec(v).tobytes() == (lsp @ v).tobytes()
+        assert np.isnan(act.matvec(nan_odd)[sign < 0]).any()
+
+    def test_superoperator_is_the_callers(self):
+        act = _tier_action(2, 1)
+        first = act.meta["sparse_superop"]
+        first.data[:] = 0.0
+        assert act.meta["sparse_superop"].count_nonzero() == first.nnz
+        assert "sparse_superop" not in act.meta
+
+    @pytest.mark.parametrize("levels,cutoff,t_max", [(2, 2, 0.05), (5, 1, 0.002)])
+    def test_integrate_matches_the_full_space_path(self, levels, cutoff, t_max):
+        # DP5 on the occupied (even) sector against DP5 on all d^2 entries
+        act = _tier_action(levels, cutoff)
+        rho0 = vacuum_ground_state(act.meta["space"])
+        times = np.linspace(0.0, t_max, 3)
+        traj, calls = _counted_integrate(act, rho0, times)
+        oracle, oracle_calls = _counted_integrate(_strip_parity(act), rho0, times)
+        assert calls == oracle_calls
+        for rho, ref in zip(traj.states, oracle.states):
+            assert np.linalg.norm(rho - ref) <= 1e-13
+
+    @pytest.mark.parametrize("levels,cutoff,t_max", [(2, 2, 0.05), (5, 1, 0.002)])
+    def test_state_in_both_sectors(self, levels, cutoff, t_max):
+        # mode 1 in (|0> + |1>)/sqrt(2), atoms in the ground state: the
+        # photon coherence lies in the odd sector
+        act = _tier_action(levels, cutoff)
+        space = act.meta["space"]
+        ground = int(np.argmax(np.diag(vacuum_ground_state(space)).real))
+        psi = np.zeros(space.dim, dtype=complex)
+        psi[[ground, ground + space.nph]] = np.sqrt(0.5)
+        rho0 = np.outer(psi, psi.conj())
+        times = np.linspace(0.0, t_max, 3)
+        traj, calls = _counted_integrate(act, rho0, times)
+        oracle, oracle_calls = _counted_integrate(_strip_parity(act), rho0, times)
+        assert calls == oracle_calls
+        odd = _sector_sign(act) < 0
+        for rho, ref in zip(traj.states, oracle.states):
+            assert np.linalg.norm(rho - ref) <= 1e-13
+            assert np.linalg.norm(rho.reshape(-1, order="F")[odd]) > 0.1
 
 
 @pytest.mark.parametrize("levels", [2, 5])
