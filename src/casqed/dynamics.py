@@ -5,25 +5,32 @@ Hamiltonian, factor-2 dissipator channels and one cascade term.
 :func:`liouvillian_from_operators` writes them as the no-jump operator
 K = -iH - sum rate c+ c - q a2+ a1 (:func:`no_jump_generator`) plus one
 list of jump terms (w, b, a), so that L(rho) = K rho + rho K+ +
-sum w b rho a+.  The sparse column-stacking superoperator, the
-generator's only matrix view, is assembled from K and the jump list and
-stored as one block per parity sector (below), and the steady-state
-solver's preconditioner inverts the K part.
+sum w b rho a+.  The steady-state solver's preconditioner inverts the K
+part.
 
-The integrator is an adaptive embedded Dormand-Prince 5(4) pair acting
-on the column-stacked state.  The generator maps each parity sector into
-itself, so DP5 advances only the entries of the sectors rho0 occupies
-(the even one alone from the vacuum ground state): the stages, the error
-estimate and the FSAL stage are vectors of those entries, scattered into
-a full vector only to apply the generator and to return a sample.  The
-other entries stay exact zeros, so the RMS error norm still divides by
-all d^2 entries, and the steps are those of DP5 on the full state.
-Hermiticity is restored after every accepted step (rho <- (rho + rho+)/2)
-on the occupied entries, as rho_ij and rho_ji share a sector; the trace
-is conserved exactly by linearity of a trace-preserving generator, and
-drift beyond 1e-9 is treated as an integrator failure.  Positivity is
-never projected: violations surface in the returned states and are the
-caller's signal that tolerances were too loose.
+The generator acts on real coordinates.  rho is hermitian and L keeps
+it so, so in a basis of hermitian operators L is a real matrix R (the
+coherence-vector picture: Alicki & Lendi, *Quantum Dynamical Semigroups
+and Applications*, LNP 286 (1987)).  The coordinates of rho
+(:class:`SectorCoordinates`) are its diagonal and Re rho_ij, Im rho_ij
+for i < j, stacked by parity sector (below); R is stored as one real CSR
+block per sector, and every application of the generator is one real
+sparse product.  Full matrices appear only at the edges: the initial
+state, each returned sample or state, and :meth:`LiouvillianAction.apply`.
+
+The integrator is an adaptive embedded Dormand-Prince 5(4) pair on those
+coordinates.  The generator maps each parity sector into itself, so DP5
+advances only the sectors rho0 occupies, which are a leading slice of
+the coordinates (the even sector alone from the vacuum ground state).
+Its error norm is the RMS over all d^2 entries of the column-stacked
+state: an off-diagonal pair stands for rho_ij and rho_ji, both of
+modulus hypot(Re, Im), so it counts twice, and the unoccupied sectors
+add exact zeros; the steps are those of DP5 on the full state.  Every
+state is hermitian by construction; the trace is conserved exactly by
+linearity of a trace-preserving generator, and drift beyond 1e-9 is
+treated as an integrator failure.  Positivity is never projected:
+violations surface in the returned states and are the caller's signal
+that tolerances were too loose.
 
 Strongly detuned models are stiff, and no builder states how stiff.
 Error control finds the stable step by itself (Hairer & Wanner, *Solving
@@ -39,10 +46,11 @@ a parity P (a +-1 vector on the basis states) that
 b and a of each jump term of one parity), so the generator maps the even
 sector (rho++ + rho--) and the odd sector (rho+- + rho-+) each into
 itself, and the steady state is even.  GMRES solves the trace-bordered
-generator on the even sector alone, right-preconditioned by the inverse
-of the shifted no-jump part: a Sylvester equation per parity block,
-solved by Bartels-Stewart with one Schur form per block and a recursive
-blocked triangular solve (:class:`ShiftedNoJumpInverse`).  Two probes, one per sector, check that
+generator on the even sector's coordinates alone, in real arithmetic,
+right-preconditioned by the inverse of the shifted no-jump part: a
+Sylvester equation per parity block, solved by Bartels-Stewart with one
+Schur form per block and a recursive blocked triangular solve
+(:class:`ShiftedNoJumpInverse`).  Two probes, one per sector, check that
 no other eigenvalue sits at zero.  Long-time relaxation remains as an
 independent check.
 
@@ -53,6 +61,7 @@ generator from :func:`casqed.reduced.liouvillian_matrix`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -80,20 +89,106 @@ NULLSPACE_DIM_LIMIT = 64
 _MAX_STEPS = 50_000_000
 
 
+class SectorCoordinates:
+    """Real coordinates of the hermitian d x d matrices, by parity sector.
+
+    Each sector of rho -> P rho P (``parity`` holds P's +-1 eigenvalue on
+    each basis state) is a run of coordinates: the even sector (p_i p_j = 1)
+    first, then the odd one, if P has both signs.  The even sector starts
+    with the diagonal rho_00, ..., rho_(d-1)(d-1); after it, each
+    off-diagonal pair i < j of a sector holds Re rho_ij and then Im rho_ij,
+    the pairs in the column-stacked order of rho_ij.  A hermitian matrix
+    has d^2 real coordinates; any complex matrix X has the complex
+    coordinates of its hermitian part plus i times those of
+    (X - X+) / 2i, so a generator that is real on the coordinates applies
+    to every matrix.
+
+    A leading slice of the coordinates (the even sector alone, or all of
+    them) holds a matrix that is zero on the sectors after it.
+    """
+
+    def __init__(self, dim: int, parity: np.ndarray):
+        d = dim
+        self.dim = d
+        self.parity = parity
+        l, k = np.tril_indices(d, -1)   # each pair k < l, in column-stacked order
+        even = parity[k] == parity[l]
+        order = np.concatenate((np.flatnonzero(even), np.flatnonzero(~even)))
+        k, l = k[order], l[order]
+        n_even = int(even.sum())
+        self.sizes = tuple(s for s in (d + 2 * n_even, 2 * (k.size - n_even)) if s)
+        #: column-stacked positions of rho_kl and rho_lk of each pair
+        self.upper, self.lower = k + d * l, l + d * k
+        #: the coordinate of each column-stacked entry: its diagonal one, or
+        #: Re of its pair (Im is the next)
+        idx = np.int32 if d * d <= np.iinfo(np.int32).max else np.int64
+        position = np.empty(d * d, dtype=idx)
+        position[:: d + 1] = np.arange(d)
+        slots = d + 2 * np.arange(k.size)
+        position[self.upper] = slots
+        position[self.lower] = slots
+        self.position = position
+        for a in (self.parity, self.upper, self.lower, self.position):
+            a.setflags(write=False)
+
+    def of(self, rho) -> np.ndarray:
+        """The d^2 coordinates of a (d, d) matrix: real when it is hermitian."""
+        d = self.dim
+        v = np.asarray(rho, dtype=complex).reshape(-1, order="F")
+        up, lo = v[self.upper], v[self.lower]
+        c = np.empty(d * d, dtype=complex)
+        c[:d] = v[:: d + 1]
+        c[d::2] = (up + lo) * 0.5
+        c[d + 1::2] = (up - lo) * -0.5j
+        return c if c.imag.any() else c.real.copy()
+
+    def vec(self, c: np.ndarray) -> np.ndarray:
+        """The column-stacked matrix of the leading coordinates ``c``."""
+        d = self.dim
+        v = np.zeros(d * d, dtype=complex)
+        v[:: d + 1] = c[:d]
+        re, im = c[d::2], c[d + 1::2]
+        n = re.size
+        v[self.upper[:n]] = re + 1j * im
+        v[self.lower[:n]] = re - 1j * im
+        return v
+
+    def occupied(self, c: np.ndarray) -> int:
+        """Length of the leading slice that holds every nonzero (or NaN) of ``c``."""
+        lead = self.sizes[0]
+        return c.size if c[lead:].any() else lead
+
+
+@functools.lru_cache(maxsize=16)
+def _coordinates(dim: int, parity: bytes) -> SectorCoordinates:
+    return SectorCoordinates(dim, np.frombuffer(parity).copy())
+
+
+def sector_coordinates(dim: int, parity=None) -> SectorCoordinates:
+    """The :class:`SectorCoordinates` of (dim, parity); all +1 when absent.
+
+    Cached: generators and solvers of one space share one map.
+    """
+    parity = np.ones(dim) if parity is None else np.asarray(parity, dtype=float)
+    return _coordinates(dim, parity.tobytes())
+
+
 @dataclass
 class LiouvillianAction:
     """A master-equation generator as a deterministic map rho -> drho/dt.
 
-    ``matvec`` applies the generator to a column-stacked state.
-    ``rate_scale`` is the characteristic damping rate used to scale
+    ``matvec`` applies the generator to the coordinates of rho
+    (:meth:`coordinates`): a leading slice of them, the even sector alone
+    or all d^2, and returns those of drho/dt.  It is the only application
+    of the generator, so a wrapper (a profiler, a counter) sees all of
+    them.  ``rate_scale`` is the characteristic damping rate used to scale
     residual tolerances.  Generators built by
     :func:`liouvillian_from_operators` keep their operators in
     ``meta["operators"]``, their dense no-jump operator K in
-    ``meta["no_jump"]`` and their parity in ``meta["parity"]``.  Their
-    sparse superoperator, built from K and the jump list, is stored as
-    one CSR block per parity sector; ``matvec`` multiplies the blocks of
-    the sectors in which its input has a nonzero (or NaN) entry, and
-    ``meta["sparse_superop"]`` assembles the whole matrix on access.
+    ``meta["no_jump"]``, their parity in ``meta["parity"]`` and their real
+    generator in ``meta["blocks"]``, one CSR block per parity sector;
+    ``meta["sparse_superop"]`` assembles the column-stacking superoperator
+    on access.
     """
 
     dim: int
@@ -101,13 +196,18 @@ class LiouvillianAction:
     rate_scale: float = 1.0
     meta: dict = field(default_factory=dict)
 
+    @property
+    def coordinates(self) -> SectorCoordinates:
+        return sector_coordinates(self.dim, self.meta.get("parity"))
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """drho/dt for a (dim, dim) state."""
         rho = np.asarray(rho, dtype=complex)
         d = self.dim
         if rho.shape != (d, d):
             raise DimensionMismatch(f"state shape {rho.shape}, expected ({d}, {d})")
-        return self.matvec(rho.reshape(-1, order="F")).reshape((d, d), order="F")
+        coords = self.coordinates
+        return coords.vec(self.matvec(coords.of(rho))).reshape((d, d), order="F")
 
     def rhs_flat(self) -> Callable[[np.ndarray], np.ndarray]:
         return self.matvec
@@ -129,15 +229,33 @@ def no_jump_generator(h, d2_channels, cascade) -> np.ndarray:
     return k.toarray()
 
 
+def _jump_terms(d2_channels, cascade) -> list:
+    """The (w, b, a) of each jump term w b rho a+: (2 rate, c, c) for each
+    channel, and (q, a1, a2) and (q, a2, a1) for the cascade."""
+    q, a1, a2 = cascade
+    return [(2.0 * rate, c, c) for rate, c in d2_channels] + [(q, a1, a2), (q, a2, a1)]
+
+
+def _entries(op) -> tuple:
+    """(rows, columns, values) of the stored entries of a dense or sparse
+    operator, row by row."""
+    if sp.issparse(op):
+        op = op if op.format == "csr" else sp.csr_matrix(op)
+        rows = np.repeat(np.arange(op.shape[0], dtype=op.indices.dtype), np.diff(op.indptr))
+        return rows, op.indices, op.data
+    op = np.asarray(op)
+    rows, cols = np.nonzero(op)
+    return rows, cols, op[rows, cols]
+
+
 def _parities(op, parity: np.ndarray) -> set:
     """The signs p_i p_j over the nonzero entries op_ij: {1} for an even
     operator, {-1} for an odd one, both for a mixed one, none for zero.
 
     ``parity`` holds P's eigenvalue p_i on each basis state.
     """
-    op = sp.csr_matrix(op)
-    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-    return set(np.unique((parity[rows] * parity[op.indices])[op.data != 0]).tolist())
+    rows, cols, values = _entries(op)
+    return set(np.unique((parity[rows] * parity[cols])[values != 0]).tolist())
 
 
 def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
@@ -155,136 +273,231 @@ def liouvillian_from_operators(h, d2_channels, cascade, rate_scale: float,
     entering as w b rho a+: (2 rate, c, c) for each channel, and
     (q, a1, a2) and (q, a2, a1) for the cascade.  So
     L(rho) = K rho + rho K+ + sum w b rho a+, and on column-stacked states
-    L = I (x) K + conj(K) (x) I + sum w conj(a) (x) b.  All of its terms
-    are summed in one sparse merge, straight into one CSR block per parity
-    sector (see :func:`_sector_blocks`), each nonzero stored once.  The
-    returned ``matvec`` multiplies only the blocks of the sectors in which
-    its input has a nonzero entry (a NaN counts), and gives the bits of
-    the whole matrix's product.  ``meta["sparse_superop"]`` assembles that
-    whole CSR anew on each access; it is not kept.  The operators are kept
-    in ``meta["operators"]``, and the dense K in ``meta["no_jump"]`` for
-    the steady-state solver's preconditioner.
+    L = I (x) K + conj(K) (x) I + sum w conj(a) (x) b.  The generator is
+    stored as R = T^-1 L T, real, on the coordinates of
+    :class:`SectorCoordinates` (T maps them to column-stacked rho): all
+    terms are summed in one sparse merge per parity sector, straight into
+    that sector's real CSR block (see :func:`_real_blocks`), kept in
+    ``meta["blocks"]``.  The returned ``matvec`` multiplies a leading
+    slice of coordinates by the blocks it covers, skipping a sector that
+    is all zero (a NaN counts as nonzero); a complex slice costs two real
+    products, R Re v + i R Im v.  ``meta["sparse_superop"]`` assembles the
+    whole column-stacked L anew from the operators on each access; it is
+    not kept.  The operators are kept in ``meta["operators"]``, and the
+    dense K in ``meta["no_jump"]`` for the steady-state solver's
+    preconditioner.
 
     ``meta["parity"]`` declares a parity P as its +-1 eigenvalue on each
     basis state (all +1 when absent).  It is checked to be a weak symmetry,
-    which the steady-state solver relies on: K must be even, and b and a of
-    each jump term must share one definite parity, so that rho -> P rho P
-    commutes with L; otherwise :class:`ParityError` is raised.
+    which both the sector blocks and the steady-state solver rely on: K
+    must be even, and b and a of each jump term must share one definite
+    parity, so that rho -> P rho P commutes with L; otherwise
+    :class:`ParityError` is raised.
     """
     dim = h.shape[0]
     meta = dict(meta or {})
     parity = meta.setdefault("parity", np.ones(dim))
     k = no_jump_generator(h, d2_channels, cascade)
-    q, a1, a2 = cascade
-    jumps = [(2.0 * rate, c, c) for rate, c in d2_channels] + [(q, a1, a2), (q, a2, a1)]
+    jumps = _jump_terms(d2_channels, cascade)
     if -1 in _parities(k, parity):
         raise ParityError("K is not block-diagonal in the declared parity")
     if any(len(_parities(b, parity) | _parities(a, parity)) > 1 for _, b, a in jumps):
         raise ParityError("a jump term b rho a+ needs b and a of one definite parity")
     meta["no_jump"] = k
     meta["operators"] = (h, d2_channels, cascade)
-    sectors = _sector_rows(parity)
-    blocks = _sector_blocks(k, jumps, sectors)
+    coords = sector_coordinates(dim, parity)
+    blocks = meta["blocks"] = _real_blocks(k, jumps, coords)
+    bounds = np.cumsum((0,) + coords.sizes)
+    lead = coords.sizes[0]
 
     def matvec(v):
         v = np.asarray(v)
-        out = np.zeros(v.shape, dtype=complex)
-        for rows, block in zip(sectors, blocks):
-            part = v[rows]
+        if v.size == lead:
+            return _real_product(blocks[0], v)
+        if v.size != dim * dim:
+            raise DimensionMismatch(f"{v.size} coordinates, expected {lead} or {dim * dim}")
+        out = np.zeros_like(v, dtype=np.result_type(v, float))
+        for start, stop, block in zip(bounds[:-1], bounds[1:], blocks):
+            part = v[start:stop]
             if part.any():   # a NaN is nonzero
-                out[rows] = block @ part
+                out[start:stop] = _real_product(block, part)
         return out
 
     return LiouvillianAction(dim=dim, matvec=matvec, rate_scale=rate_scale,
-                             meta=_SuperoperatorMeta(meta, sectors, blocks))
+                             meta=_SuperoperatorMeta(meta))
 
 
-def _sector_rows(parity: np.ndarray) -> list:
-    """The positions of each nonempty parity sector in a column-stacked state.
+def _real_product(block: sp.csr_matrix, v: np.ndarray) -> np.ndarray:
+    """block @ v for a real block: one real product for a real v, and
+    block Re v + i block Im v for a complex one."""
+    if not np.iscomplexobj(v):
+        return block @ v
+    out = np.empty(v.size, dtype=complex)
+    out.real = block @ np.ascontiguousarray(v.real)
+    out.imag = block @ np.ascontiguousarray(v.imag)
+    return out
 
-    Entry i + d j of vec(rho) lies in the even sector when p_i p_j = 1 and in
-    the odd one when p_i p_j = -1; the even sector comes first, and each
-    array ascends.  All +1 (no declared parity) gives one sector.
-    """
-    sign = np.kron(parity, parity)
-    return [rows for rows in (np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)) if rows.size]
+
+def _kron_factors(k: np.ndarray, jumps) -> list:
+    """(w, A, B) of each term w A (x) B of L, each factor as its
+    :func:`_entries`: I (x) K, conj(K) (x) I and w conj(a) (x) b for each
+    jump term."""
+    diag = np.arange(k.shape[0])
+    eye = (diag, diag, np.ones(diag.size, dtype=complex))
+    rows, cols, values = _entries(k)
+    factors = [(1.0, eye, (rows, cols, values)), (1.0, (rows, cols, values.conj()), eye)]
+    for w, b, a in jumps:
+        rows, cols, values = _entries(a)
+        factors.append((w, (rows, cols, values.conj()), _entries(b)))
+    return factors
 
 
-def _sector_blocks(k: np.ndarray, jumps, sectors) -> list:
-    """I (x) K + conj(K) (x) I + sum w conj(a) (x) b, one CSR block per sector.
+def _superoperator(k: np.ndarray, jumps) -> sp.csr_matrix:
+    """I (x) K + conj(K) (x) I + sum w conj(a) (x) b, as one column-stacking CSR.
 
-    L maps each sector into itself, so it is the direct sum of its blocks
-    L_ss: block s acts on the entries ``sectors[s]`` of a column-stacked
-    state, which it numbers 0, 1, ... in that (ascending) order.  All terms
-    are summed in one sparse merge of the entries of every Kronecker
-    product, numbered with the sectors stacked, and the blocks are views of
-    its arrays: each nonzero is stored once.
-
-    The merge gives the bits of the term-by-term sum whenever at most two
-    terms share a position (addition commutes), as in every tier: a jump
-    term has i != k and j != l at its entries (i + d j, k + d l), which
-    I (x) K (j = l) and conj(K) (x) I (i = k) never have, and no two jump
-    terms of a tier share a position.  A zero part of an entry ends as +0,
-    as after the term-by-term sum's last addition, and entries that sum to
-    zero are dropped.
+    All terms are summed in one sparse merge of the entries of every
+    Kronecker product.  That gives the bits of the term-by-term sum
+    whenever at most two terms share a position (addition commutes), as in
+    every tier: a jump term has i != k and j != l at its entries
+    (i + d j, k + d l), which I (x) K (j = l) and conj(K) (x) I (i = k)
+    never have, and no two jump terms of a tier share a position.  A zero
+    part of an entry ends as +0, as after the term-by-term sum's last
+    addition, and entries that sum to zero are dropped.
     """
     d = k.shape[0]
     n = d * d
     idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    stacked = np.empty(n, dtype=idx)   # each column-stacked entry's number, sectors stacked
-    stacked[np.concatenate(sectors)] = np.arange(n)
-    eye = sp.identity(d, dtype=complex, format="coo")
-    k = sp.coo_matrix(k)
-    # (w, A, B) of each term w A (x) B
-    factors = [(1.0, eye, k), (1.0, k.conj(), eye)]
-    factors += [(w, sp.coo_matrix(a).conj(), sp.coo_matrix(b)) for w, b, a in jumps]
-    size = sum(x.nnz * y.nnz for _, x, y in factors)
+    factors = _kron_factors(k, jumps)
+    size = sum(x[0].size * y[0].size for _, x, y in factors)
     rows, cols = np.empty(size, dtype=idx), np.empty(size, dtype=idx)
     values = np.empty(size, dtype=complex)
     start = 0
-    for w, x, y in factors:
-        stop = start + x.nnz * y.nnz
-        rows[start:stop] = stacked[(d * x.row.astype(np.intp))[:, None] + y.row].ravel()
-        cols[start:stop] = stacked[(d * x.col.astype(np.intp))[:, None] + y.col].ravel()
-        values[start:stop] = (x.data[:, None] * y.data).ravel() * w
+    for w, (xr, xc, xv), (yr, yc, yv) in factors:
+        stop = start + xr.size * yr.size
+        rows[start:stop] = ((d * xr.astype(idx))[:, None] + yr).ravel()
+        cols[start:stop] = ((d * xc.astype(idx))[:, None] + yc).ravel()
+        values[start:stop] = (xv[:, None] * yv).ravel() * w
         start = stop
     lsp = sp.csr_matrix((values, (rows, cols)), shape=(n, n))   # sums duplicate positions
     del rows, cols, values
     lsp.eliminate_zeros()
     lsp.data += 0.0   # a zero part ends as +0
-    blocks, start = [], 0
-    for sector in sectors:
-        ptr = lsp.indptr[start:start + sector.size + 1]
-        entries = slice(ptr[0], ptr[-1])
-        lsp.indices[entries] -= start
-        blocks.append(sp.csr_matrix((lsp.data[entries], lsp.indices[entries], ptr - ptr[0]),
-                                    shape=(sector.size, sector.size)))
-        start += sector.size
+    return lsp
+
+
+def _real_blocks(k: np.ndarray, jumps, coords: SectorCoordinates) -> list:
+    """R = T^-1 L T on the coordinates ``coords``, one real CSR block per sector.
+
+    L maps each sector into itself, so R is the direct sum of its blocks:
+    block s acts on the coordinates of sector s, numbered from 0.  An entry
+    L_(kl),(ij) (row k + d l, column i + d j) adds v rho_ij to (L rho)_kl.
+    Only the rows k <= l are needed, as (L rho)_lk is the conjugate of
+    (L rho)_kl and (L rho)_kk is real.  With rho_ij = x + i y for i < j and
+    x - i y for i > j (x, y the coordinates of the pair), and the diagonal
+    rho_ii = x, v rho_ij adds
+
+        Re v x - side Im v y   to Re (L rho)_kl,
+        Im v x + side Re v y   to Im (L rho)_kl (for k < l),
+
+    where side = sign(j - i), and the y terms are absent on the diagonal.
+    So an entry of R is +-Re or +-Im of L_(kl),(ij) + L_(kl),(ji), a sum of
+    at most two entries of L.
+
+    Each sector is assembled on its own: the entries of every Kronecker
+    product in its rows (p_k p_l of its sign, k <= l) become R's entries,
+    which one sparse merge sums into the block; only that sector's entries
+    are held at a time.  Zero parts are left out before the merge, and sums
+    that cancel are dropped after it.  The merge gives the bits of T^-1 L T
+    computed from the term-by-term sum whenever at most two nonzero parts
+    reach each entry of R.  In every tier they do: terms share a position
+    of L only on its diagonal (i = k, j = l: I (x) K and conj(K) (x) I),
+    whose partner L_(kl),(lk) would need a jump term with b_kl conj(a_lk)
+    nonzero, which no lowering operator has.
+    """
+    d = coords.dim
+    parity, position = coords.parity, coords.position
+    idx = position.dtype
+    factors = _kron_factors(k, jumps)
+    # every term's entries A_lj (x) and B_ki (y), with the term's weight on A's;
+    # B's sorted by (term, p_k, k), so that for each A_lj the B_ki of its term
+    # with p_k = sign p_l and k <= l are one run
+    weight = np.concatenate([np.full(x[0].size, w) for w, x, _ in factors])
+    xl, xj, xv = (np.concatenate([x[f] for _, x, _ in factors]) for f in range(3))
+    xt = np.repeat(np.arange(len(factors)), [x[0].size for _, x, _ in factors])
+    yk, yi, yv = (np.concatenate([y[f] for _, _, y in factors]) for f in range(3))
+    yt = np.repeat(np.arange(len(factors)), [y[0].size for _, _, y in factors])
+    ykey = (2 * yt + (parity[yk] < 0)) * d + yk
+    order = np.argsort(ykey, kind="stable")
+    ykey, yk, yi, yv = ykey[order], yk[order].astype(idx), yi[order].astype(idx), yv[order]
+    xl, xj = xl.astype(idx), xj.astype(idx)
+    blocks, offset = [], 0
+    for sign, size in zip((1.0, -1.0), coords.sizes):
+        # the run of B entries that meets each A entry in this sector
+        group = (2 * xt + (sign * parity[xl] < 0)) * d
+        first = np.searchsorted(ykey, group)
+        counts = np.searchsorted(ykey, group + xl, side="right") - first
+        a = np.repeat(np.arange(xl.size, dtype=idx), counts)
+        b = np.repeat((first - np.cumsum(counts) + counts).astype(idx), counts)
+        b += np.arange(b.size, dtype=idx)
+        values = xv[a] * yv[b]
+        values *= weight[a]
+        # the L entry at row k + d l, column i + d j
+        k_, l_ = yk[b], xl[a]
+        off_diag = k_ != l_
+        rows = position[k_ + d * l_] - offset
+        i_, j_ = yi[b], xj[a]
+        side = np.sign(j_ - i_).astype(np.int8)
+        cols = position[i_ + d * j_] - offset
+        del a, b, k_, l_, i_, j_
+        rows, cols, values = _real_parts(rows, cols, off_diag, side, values)
+        del off_diag, side
+        block = sp.csr_matrix((values, (rows, cols)), shape=(size, size))   # sums duplicates
+        del rows, cols, values
+        block.eliminate_zeros()
+        blocks.append(block)
+        offset += size
     return blocks
 
 
+def _real_parts(rows, cols, off_diag, side, values) -> tuple:
+    """The nonzero entries of R (rows, columns, values) from the entries
+    ``values`` of L at the coordinates ``rows``, ``cols`` (the diagonal one
+    or Re of a pair), given whether each row is off the diagonal and each
+    column's side (see :func:`_real_blocks`)."""
+    re, im = values.real.copy(), values.imag.copy()
+    re_nonzero, im_nonzero, pair = re != 0, im != 0, side != 0
+    # (entries, row step, column step, part of v, sign): Re v at (Re, Re),
+    # -side Im v at (Re, Im), Im v at (Im, Re) and side Re v at (Im, Im)
+    parts = ((re_nonzero, 0, 0, re, None), (pair & im_nonzero, 0, 1, im, -side),
+             (off_diag & im_nonzero, 1, 0, im, None),
+             (off_diag & pair & re_nonzero, 1, 1, re, side))
+    size = sum(np.count_nonzero(keep) for keep, *_ in parts)
+    out_rows, out_cols = np.empty(size, rows.dtype), np.empty(size, cols.dtype)
+    out_values = np.empty(size)
+    start = 0
+    for keep, row_step, col_step, part, sign in parts:
+        stop = start + np.count_nonzero(keep)
+        np.add(rows[keep], row_step, out=out_rows[start:stop])
+        np.add(cols[keep], col_step, out=out_cols[start:stop])
+        out_values[start:stop] = part[keep] if sign is None else part[keep] * sign[keep]
+        start = stop
+    return out_rows, out_cols, out_values
+
+
 class _SuperoperatorMeta(dict):
-    """The ``meta`` of a generator stored as sector blocks.
+    """The ``meta`` of a generator stored as real sector blocks.
 
     ``meta["sparse_superop"]`` assembles the column-stacking superoperator
-    as one CSR from the blocks on each access.  It is never stored, so the
-    generator keeps each nonzero once, and the caller owns what it gets.
+    from ``meta["no_jump"]`` and ``meta["operators"]`` on each access
+    (:func:`_superoperator`).  It is never stored, so the generator keeps
+    one matrix, and the caller owns what it gets.
     """
-
-    def __init__(self, meta: dict, sectors: list, blocks: list):
-        super().__init__(meta)
-        self._sectors, self._blocks = sectors, blocks
 
     def __missing__(self, key):
         if key != "sparse_superop":
             raise KeyError(key)
-        rows = np.concatenate(self._sectors)
-        stacked = np.empty(rows.size, dtype=np.intp)
-        stacked[rows] = np.arange(rows.size)
-        # each block's rows with column-stacked column indices, sectors stacked
-        wide = [sp.csr_matrix((b.data, sector[b.indices], b.indptr), shape=(b.shape[0], rows.size))
-                for sector, b in zip(self._sectors, self._blocks)]
-        return sp.vstack(wide, format="csr")[stacked]
+        _, d2_channels, cascade = self["operators"]
+        return _superoperator(self["no_jump"], _jump_terms(d2_channels, cascade))
 
 
 @dataclass
@@ -334,14 +547,21 @@ def _check_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
     return (rho0 + dagger(rho0)) / 2.0
 
 
-def _occupied(liouvillian: LiouvillianAction, y: np.ndarray) -> np.ndarray:
-    """The ascending positions of the parity sectors in which the
-    column-stacked state ``y`` has a nonzero entry (see :func:`_sector_rows`)."""
-    parity = liouvillian.meta.get("parity", np.ones(liouvillian.dim))
-    mask = np.zeros(y.size, dtype=bool)
-    for rows in _sector_rows(parity):
-        mask[rows] = y[rows].any()
-    return np.flatnonzero(mask)
+def _error_norm(e, y, y5, dim: int, abs_tol: float, rel_tol: float) -> float:
+    """DP5's error norm on leading coordinates: the RMS of
+    |e_ij| / (abs_tol + rel_tol max(|y_ij|, |y5_ij|)) over all d^2 entries of
+    the column-stacked state.  An off-diagonal pair stands for rho_ij and
+    rho_ji, both of modulus hypot(Re, Im), so it counts twice; entries past
+    the slice are zero and add nothing."""
+    def mod2(x):   # |rho_ij|^2 of each pair
+        return x[dim::2] ** 2 + x[dim + 1::2] ** 2
+
+    w = abs_tol + rel_tol * np.maximum(np.abs(y[:dim]), np.abs(y5[:dim]))
+    total = np.sum((e[:dim] / w) ** 2)
+    if e.size > dim:
+        w = abs_tol + rel_tol * np.sqrt(np.maximum(mod2(y), mod2(y5)))
+        total += 2.0 * np.sum(mod2(e) / w ** 2)
+    return float(np.sqrt(total / (dim * dim)))
 
 
 def integrate(
@@ -353,55 +573,42 @@ def integrate(
 ) -> Trajectory:
     """Propagate a density matrix and sample it at the requested times.
 
-    Adaptive Dormand-Prince 5(4) with an elementwise error weight
-    ``abs_tol + rel_tol * |entry|``.  Entries smaller than ``abs_tol``
-    are kept bounded rather than relatively accurate, which is what
-    makes stiff detuned models affordable.  The step comes from the error
-    estimate alone; on a stiff generator it settles at the stability
-    boundary (see module docstring).
+    Adaptive Dormand-Prince 5(4) on the real coordinates of the occupied
+    sectors, with an elementwise error weight ``abs_tol + rel_tol * |entry|``
+    (see module docstring).  Entries smaller than ``abs_tol`` are kept
+    bounded rather than relatively accurate, which is what makes stiff
+    detuned models affordable.  The step comes from the error estimate
+    alone; on a stiff generator it settles at the stability boundary.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) < 0):
         raise IntegrationError("times must be a non-empty ascending 1-d grid")
     dim = liouvillian.dim
     rho0 = _check_rho0(rho0, dim)
+    coords = liouvillian.coordinates
     rhs = liouvillian.rhs_flat()
 
     t = float(times[0])
-    y = rho0.reshape(-1, order="F").copy()
+    y = coords.of(rho0)   # real: rho0 is hermitian
     trace0 = np.real(np.trace(rho0))
+
+    def sample(x):
+        return unvec(coords.vec(x))
 
     span = max(times[-1] - times[0], 0.0)
     if span == 0.0:
-        return Trajectory(times=times, states=[unvec(y.copy()) for _ in times])
+        return Trajectory(times=times, states=[sample(y) for _ in times])
 
-    # DP5 advances the entries of the sectors rho0 occupies; L keeps the
-    # others at exact zeros, which stay in ``full`` between generator calls
-    occupied = _occupied(liouvillian, y)
-    full = np.zeros(y.size, dtype=complex)
-
-    def rhs_occupied(x):
-        full[occupied] = x
-        return rhs(full)[occupied]
-
-    def sample(x):
-        state = np.zeros(full.size, dtype=complex)
-        state[occupied] = x
-        return unvec(state)
-
-    # rho+ pairs entry i + d j with j + d i, which lies in the same sector
-    position = np.empty(y.size, dtype=np.intp)
-    position[occupied] = np.arange(occupied.size)
-    partner = position[(occupied % dim) * dim + occupied // dim]
-    y = y[occupied]
+    # DP5 advances the leading sectors rho0 occupies; L keeps the others zero
+    y = y[:coords.occupied(y)]
     out = [sample(y)]
 
     scale = max(liouvillian.rate_scale, 1e-300)
     h = min(span / 100.0, 0.1 / scale)
     h_min = max(span, 1.0 / scale) * 1e-14
 
-    k = np.empty((7, y.size), dtype=complex)
-    k[0] = rhs_occupied(y)
+    k = np.empty((7, y.size))
+    k[0] = rhs(y)
     states_iter = iter(range(1, times.size))
     next_i = next(states_iter, None)
 
@@ -422,20 +629,14 @@ def integrate(
             continue
 
         for i in range(1, 7):
-            k[i] = rhs_occupied(y + (h_use * _DP_A[i]) @ k[:i])
+            k[i] = rhs(y + (h_use * _DP_A[i]) @ k[:i])
         y5 = y + (h_use * _DP_B5) @ k
-        err_vec = (h_use * _DP_E) @ k
-
-        # RMS over all d^2 entries: the unoccupied ones add exact zeros
-        sc = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.sum((np.abs(err_vec) / sc) ** 2) / full.size))
+        err = _error_norm((h_use * _DP_E) @ k, y, y5, dim, abs_tol, rel_tol)
 
         if err <= 1.0:
             t = t + h_use
-            y = (y5 + y5[partner].conj()) / 2.0
-            # FSAL: stage 7 was evaluated at y5; the symmetrization shift
-            # is pure rounding noise, so k7 serves as the next step's k1
-            k[0] = k[6]
+            y = y5
+            k[0] = k[6]   # FSAL: stage 7 was evaluated at y5
             if clipped and abs(t - t_target) <= 1e-12 * max(1.0, abs(t_target)):
                 out.append(sample(y))
                 next_i = next(states_iter, None)
@@ -479,6 +680,14 @@ _SYLVESTER_LEAF = 64
 #: _PROBE_RTOL for the probes, which only need the size of their solution
 _GMRES_RTOL = 1e-13
 _PROBE_RTOL = 1e-6
+#: a state GMRES did not bring to _GMRES_RTOL is still accepted when its
+#: normwise backward error ||b - B x|| / (||B||_1 ||x|| + ||b||) is at most
+#: this: four times the unit roundoff u = eps / 2 (Rigal & Gaches, J. ACM
+#: 14, 543 (1967)).  At strong drive the rounding floor u ||B|| ||x|| / ||b||
+#: lies above _GMRES_RTOL, and no solve in floating point gets below a
+#: backward error of order u; the full-tier fig. 3 grid up to Omega_s 300
+#: lands at 0.26 u or below
+_BACKWARD_TOL = 4 * np.finfo(float).eps / 2
 #: GMRES restart length and number of restart cycles
 _GMRES_RESTART = 100
 _GMRES_CYCLES = 2
@@ -516,108 +725,161 @@ def triangular_sylvester(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndar
     return x
 
 
-#: the (row, column) parity blocks of rho in each sector of rho -> P rho P
-SECTOR_BLOCKS = {"even": ((0, 0), (1, 1)), "odd": ((0, 1), (1, 0))}
+#: the (row, column) parity blocks of rho that hold each sector's
+#: coordinates; the odd sector's rho-+ is rho+-^H
+SECTOR_BLOCKS = {"even": ((0, 0), (1, 1)), "odd": ((0, 1),)}
 
 
 class ShiftedNoJumpInverse:
-    """(A - s)^-1 with A rho = K rho + rho K+, one parity sector at a time.
+    """(A - s)^-1 with A rho = K rho + rho K+, on one parity sector's coordinates.
 
     ``parity`` is the +-1 vector of a weak symmetry P (see
     :func:`liouvillian_from_operators`), so K is block-diagonal with blocks
-    K+ and K- on the P = +1 and P = -1 states.  A sector vector stacks the
-    column-stacked blocks of rho: rho++ then rho-- for ``"even"``, rho+-
-    then rho-+ for ``"odd"``; ``index[sector]`` holds their positions in
-    the column-stacked full rho.  Block (i, j) of (A - s) X = Y reads
+    K+ and K- on the P = +1 and P = -1 states.  A sector's coordinates
+    (:class:`SectorCoordinates`, numbered from 0 within the sector) are
+    those of rho++ and rho-- for ``"even"`` and of rho+- for ``"odd"``,
+    where rho-+ = rho+-^H.  Block (i, j) of (A - s) X = Y reads
     (K_i - s/2) X_ij + X_ij (K_j - s/2)+ = Y_ij: Bartels-Stewart with one
     complex Schur form K_i+ - s/2 = U_i T_i U_i+ per parity block, so
     T_i+ Z + Z T_j = U_i+ Y_ij U_j with X_ij = U_i Z U_j+, and the recursive
-    triangular solve of :func:`triangular_sylvester`.  Every eigenvalue
-    of K has Re <= 0, so the solve is well posed for s > 0.
+    triangular solve of :func:`triangular_sylvester`.  A keeps rho
+    hermitian, so the odd sector needs X+- alone.  Every eigenvalue of K
+    has Re <= 0, so the solve is well posed for s > 0.
     """
 
     def __init__(self, k: np.ndarray, parity: np.ndarray, s: float):
         d = k.shape[0]
+        coords = sector_coordinates(d, parity)
         idx = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
         self.schur = [scipy.linalg.schur(k[np.ix_(i, i)].conj().T - 0.5 * s * np.eye(i.size),
-                                         output="complex") for i in idx]
-        self.index = {
-            sector: np.concatenate([(idx[i][:, None] + d * idx[j][None, :]).ravel(order="F")
-                                    for i, j in blocks])
-            for sector, blocks in SECTOR_BLOCKS.items()
-        }
+                                          output="complex") for i in idx]
+        lead = coords.sizes[0]
+        #: number of coordinates in each sector
+        self.size = {"even": lead, "odd": d * d - lead}
+        offset = {"even": 0, "odd": lead}
+        #: per sector, (i, j) and the maps of :func:`_block_maps` of each
+        #: parity block it solves
+        self.blocks = {sector: [] for sector in SECTOR_BLOCKS}
+        for sector, blocks in SECTOR_BLOCKS.items():
+            for i, j in blocks:
+                rows, cols = idx[i], idx[j]
+                if rows.size and cols.size:
+                    kk, ll = np.repeat(rows, cols.size), np.tile(cols, rows.size)
+                    slot = coords.position[kk + d * ll] - offset[sector]
+                    self.blocks[sector].append(
+                        (i, j) + _block_maps(slot, np.sign(ll - kk), self.size[sector], i == j))
 
-    def solve(self, y: np.ndarray, sector: str) -> np.ndarray:
-        """The sector vector of (A - s)^-1 Y, for the sector vector ``y`` of Y."""
-        out = np.empty_like(y)
-        start = 0
-        for i, j in SECTOR_BLOCKS[sector]:
+    def solve(self, c: np.ndarray, sector: str) -> np.ndarray:
+        """The coordinates of (A - s)^-1 Y, for the real coordinates ``c`` of
+        one sector of Y."""
+        out = np.empty(c.size)
+        padded = np.append(c, 0.0)   # a diagonal entry's Im
+        for i, j, re, im, sign, src_re, dst_re, src_im, dst_im, im_sign in self.blocks[sector]:
             (ti, ui), (tj, uj) = self.schur[i], self.schur[j]
-            shape = (ui.shape[0], uj.shape[0])
-            stop = start + shape[0] * shape[1]
-            if stop > start:
-                rhs = ui.conj().T @ y[start:stop].reshape(shape, order="F") @ uj
-                x = ui @ triangular_sylvester(ti, tj, rhs) @ uj.conj().T
-                out[start:stop] = x.reshape(-1, order="F")
-            start = stop
+            y = np.empty(re.size, dtype=complex)
+            y.real = padded[re]
+            y.imag = padded[im] * sign
+            y = y.reshape(ui.shape[0], uj.shape[0])
+            x = (ui @ triangular_sylvester(ti, tj, ui.conj().T @ y @ uj) @ uj.conj().T).ravel()
+            out[dst_re] = x.real[src_re]
+            out[dst_im] = x.imag[src_im] * im_sign
         return out
+
+
+def _block_maps(slot: np.ndarray, side: np.ndarray, size: int, diagonal_block: bool) -> tuple:
+    """The index maps between a sector's coordinates and one parity block
+    of rho, row-major, given each entry's coordinate ``slot`` (its diagonal
+    one or Re of its pair) and ``side`` (0 on the diagonal, +1 above it,
+    -1 below it).
+
+    Gather, for Y_ij from the coordinates: (Re slot, Im slot, sign of Im),
+    where a diagonal entry's Im slot is ``size``, one past the sector, which
+    holds zero.  Scatter, for the coordinates from X_ij: (entries giving the
+    Re or diagonal slots, those slots, entries giving the Im slots, those
+    slots, sign of Im).  A diagonal block gives each pair through its entry
+    above the diagonal; the odd block X+- holds every odd pair once.
+    """
+    gather = (slot, np.where(side == 0, size, slot + 1), np.where(side < 0, -1.0, 1.0))
+    re = np.flatnonzero(side >= 0) if diagonal_block else np.arange(slot.size)
+    im = np.flatnonzero(side > 0) if diagonal_block else np.arange(slot.size)
+    return gather + (re, slot[re], im, slot[im] + 1, side[im].astype(float))
 
 
 class _BorderedSectors:
     """GMRES on the parity sectors of the trace-bordered generator
-    B x = L x + w tr x, w = (rate_scale / d) I.
+    B x = L x + w tr x, w = (rate_scale / d) I, in real coordinates.
 
     B maps each sector into itself, because L does and the trace lives on
     the diagonal, which is even; on the odd sector B is L.  GMRES runs on
-    sector vectors (see :class:`ShiftedNoJumpInverse`), right-preconditioned
-    by the shifted no-jump inverse; the generator is applied through
-    ``liouvillian.matvec`` on the full vector, scattered and gathered, which
-    multiplies that sector's block alone.
+    one sector's coordinates (see :class:`ShiftedNoJumpInverse`),
+    right-preconditioned by the shifted no-jump inverse.  The generator is
+    applied through ``liouvillian.matvec``: to the even sector as the
+    leading slice, to the odd one inside all-zero full coordinates, whose
+    even block ``matvec`` skips.
     """
 
     def __init__(self, liouvillian: LiouvillianAction):
-        d = liouvillian.dim
-        self.dim = d
+        self.dim = liouvillian.dim
         self.scale = liouvillian.rate_scale
         self.rhs = liouvillian.rhs_flat()
+        self.blocks = liouvillian.meta["blocks"]
         self.inverse = ShiftedNoJumpInverse(
             liouvillian.meta["no_jump"], liouvillian.meta["parity"], _SYLVESTER_SHIFT * self.scale,
         )
-        self.diag = {sector: np.flatnonzero(index % (d + 1) == 0)
-                     for sector, index in self.inverse.index.items()}
+        self.size = self.inverse.size
+
+    def bordered(self, sector: str) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> B x on one sector's coordinates."""
+        d, weight, rhs = self.dim, self.scale / self.dim, self.rhs
+        if sector == "even":
+            def apply(x):
+                out = rhs(x)
+                out[:d] += weight * x[:d].sum()
+                return out
+            return apply
+        lead = self.size["even"]
+        full = np.zeros(d * d)
+
+        def apply(x):
+            full[lead:] = x
+            return rhs(full)[lead:]
+        return apply
 
     def solve(self, sector: str, b: np.ndarray, rtol: float):
-        """(x, GMRES info) for B x = b on one sector."""
-        d, inverse = self.dim, self.inverse
-        index, diag, weight = inverse.index[sector], self.diag[sector], self.scale / d
+        """(x, GMRES info, GMRES iterations) for B x = b on one sector."""
+        inverse, bordered = self.inverse, self.bordered(sector)
+        size = self.size[sector]
+        op = spla.LinearOperator((size, size), matvec=lambda y: bordered(inverse.solve(y, sector)),
+                                 dtype=float)
+        iterations = [0]
 
-        def bordered(y):
-            x = inverse.solve(y, sector)
-            full = np.zeros(d * d, dtype=complex)
-            full[index] = x
-            out = self.rhs(full)[index]
-            out[diag] += weight * x[diag].sum()
-            return out
+        def count(_):
+            iterations[0] += 1
 
-        op = spla.LinearOperator((index.size, index.size), matvec=bordered, dtype=complex)
-        y, info = spla.gmres(op, b, rtol=rtol, atol=0.0,
-                             restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES)
-        return inverse.solve(y, sector), info
+        y, info = spla.gmres(op, b, rtol=rtol, atol=0.0, restart=_GMRES_RESTART,
+                             maxiter=_GMRES_CYCLES, callback=count, callback_type="pr_norm")
+        return inverse.solve(y, sector), info, iterations[0]
+
+    def backward_error(self, x: np.ndarray, b: np.ndarray) -> float:
+        """||b - B x|| / (||B||_1 ||x|| + ||b||) on the even sector, with
+        ||B||_1 <= ||L_even||_1 + rate_scale (the border adds rate_scale to
+        a column)."""
+        norm_b = spla.norm(self.blocks[0], 1) + self.scale
+        residual = np.linalg.norm(b - self.bordered("even")(x))
+        return float(residual / (norm_b * np.linalg.norm(x) + np.linalg.norm(b)))
 
     def probe(self, sector: str):
-        """(||B^-1 r|| rate_scale / ||r||, GMRES info) for a seeded random r
-        on one sector, traceless on the even one; (0, 0) on an empty sector.
+        """(||B^-1 r|| rate_scale / ||r||, GMRES info) for a seeded random real
+        r on one sector, traceless on the even one; (0, 0) on an empty sector.
         On traceless matrices B^-1 is L^-1, so the growth is large exactly
         when L has another (near-)zero eigenvalue in that sector."""
-        size = self.inverse.index[sector].size
+        size = self.size[sector]
         if size == 0:
             return 0.0, 0
-        rng = np.random.default_rng(_PROBE_SEED)
-        r = rng.normal(size=size) + 1j * rng.normal(size=size)
-        diag = self.diag[sector]
-        if diag.size:
-            r[diag] -= r[diag].mean()
-        x, info = self.solve(sector, r / np.linalg.norm(r), _PROBE_RTOL)
+        r = np.random.default_rng(_PROBE_SEED).normal(size=size)
+        if sector == "even":
+            r[:self.dim] -= r[:self.dim].mean()
+        x, info, _ = self.solve(sector, r / np.linalg.norm(r), _PROBE_RTOL)
         return float(np.linalg.norm(x)) * self.scale, info
 
 
@@ -633,31 +895,37 @@ def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
     P is a weak symmetry, so L maps the even sector (rho++ + rho--) and the
     odd sector (rho+- + rho-+) each into itself, and the unique steady state
     (with P rho P, also a steady state) lies in the even one.  GMRES solves
-    B on the even sector only, right-preconditioned by the shifted no-jump
-    inverse of :class:`ShiftedNoJumpInverse`: one Schur form per parity
-    block and a recursive blocked triangular Sylvester solve.  A singular B
-    can still be consistent for w, and a second zero eigenvalue may sit in
-    either sector, so one probe per sector solves against a fixed random
-    right-hand side (traceless on the even sector): its solution is L^-1 r,
-    and it fails or grows past _PROBE_LIMIT / rate_scale when L has another
-    (near-)zero eigenvalue in that sector; that raises
-    :class:`DegenerateSteadyState`.  A generator without a declared parity
-    is all even, with an empty odd sector and no odd probe.  The state is
-    returned hermitised and normalised.
+    B on the even sector's real coordinates only, right-preconditioned by
+    the shifted no-jump inverse of :class:`ShiftedNoJumpInverse`: one Schur
+    form per parity block and a recursive blocked triangular Sylvester
+    solve.  It stops at a residual of _GMRES_RTOL relative to w; a solve
+    that stops short of it is accepted when its normwise backward error is
+    at most _BACKWARD_TOL, and raises :class:`ConvergenceError` otherwise.
+    A singular B can still be consistent for w, and a second zero
+    eigenvalue may sit in either sector, so one probe per sector solves
+    against a fixed random right-hand side (traceless on the even sector):
+    its solution is L^-1 r, and it fails or grows past
+    _PROBE_LIMIT / rate_scale when L has another (near-)zero eigenvalue in
+    that sector; that raises :class:`DegenerateSteadyState`.  A generator
+    without a declared parity is all even, with an empty odd sector and no
+    odd probe.  The state is hermitian by construction and returned
+    normalised.
     """
     d = liouvillian.dim
     sectors = _BorderedSectors(liouvillian)
-    w = np.zeros(sectors.inverse.index["even"].size, dtype=complex)
-    w[sectors.diag["even"]] = liouvillian.rate_scale / d
+    w = np.zeros(sectors.size["even"])
+    w[:d] = liouvillian.rate_scale / d
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow raises below
-        rho_even, info = sectors.solve("even", w, _GMRES_RTOL)
-    if info != 0:
+        rho, info, iterations = sectors.solve("even", w, _GMRES_RTOL)
+        backward = sectors.backward_error(rho, w) if info != 0 else 0.0
+    if not backward <= _BACKWARD_TOL:
         raise ConvergenceError(
-            f"GMRES did not reach the steady state in {_GMRES_RESTART * _GMRES_CYCLES} iterations"
+            f"GMRES did not reach the steady state in {iterations} iterations "
+            f"(normwise backward error {backward:.1e} > {_BACKWARD_TOL:.1e})"
         )
     # the solution has trace one; GMRES returns zero when its norms overflow
-    trace = rho_even[sectors.diag["even"]].sum().real
-    if not (np.isfinite(rho_even).all() and trace > 0.0):
+    trace = rho[:d].sum()
+    if not (np.isfinite(rho).all() and trace > 0.0):
         raise ConvergenceError(
             f"the steady-state solve overflowed: trace {trace:g} at rate_scale "
             f"{liouvillian.rate_scale:.3g}"
@@ -670,11 +938,7 @@ def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
                 f"(probe of the {sector} sector ||L^-1 r|| rate_scale / ||r|| = {growth:.1e}"
                 + (", no convergence)" if info else ")")
             )
-    rho = np.zeros(d * d, dtype=complex)
-    rho[sectors.inverse.index["even"]] = rho_even
-    rho = unvec(rho)
-    rho = (rho + dagger(rho)) / 2.0
-    return rho / np.real(np.trace(rho))
+    return liouvillian.coordinates.vec(rho / trace).reshape((d, d), order="F")
 
 
 def steady_state_longtime(
@@ -697,11 +961,10 @@ def steady_state_longtime(
     rel_tol = max(1e-12, tol / 10.0)
     abs_tol = max(1e-14, tol / 100.0)
     rho = _check_rho0(rho0, liouvillian.dim)
-    rhs = liouvillian.rhs_flat()
     elapsed = 0.0
     chunk = 2.0 / scale
     while True:
-        res = float(np.linalg.norm(rhs(rho.reshape(-1, order="F"))))
+        res = float(np.linalg.norm(liouvillian.apply(rho)))
         if res <= tol * scale:
             return SteadyStateResult(rho=rho, elapsed=elapsed, residual=res)
         if elapsed >= max_time:

@@ -41,7 +41,7 @@ from casqed.errors import (
     InvalidParams,
     UnbalancedShifts,
 )
-from casqed import cavity, experiments
+from casqed import cavity, dynamics, experiments
 from casqed.config import parse_config_text, validate_config
 from casqed.linalg import dagger, embed_at
 from casqed.metrics import fef_fidelity
@@ -444,6 +444,27 @@ def _chained_superoperator(act):
     return lsp
 
 
+def _coordinate_transform(act):
+    # T and T^-1 with vec(rho) = T c for the coordinates c of rho: the
+    # diagonal, then Re and Im of each pair i < j, the even sector's pairs
+    # first, each sector's in the column-stacked order of rho_ij
+    d, par = act.dim, act.meta["parity"]
+    pairs = [(i, j) for j in range(d) for i in range(j)]
+    order = ([p for p in pairs if par[p[0]] == par[p[1]]]
+             + [p for p in pairs if par[p[0]] != par[p[1]]])
+    i, j = np.array(order, dtype=int).reshape(-1, 2).T
+    upper, lower, re = i + d * j, j + d * i, d + 2 * np.arange(i.size)
+    diag = np.arange(d)
+    vec_pos = np.concatenate([diag * (d + 1), upper, lower, upper, lower])
+    coord = np.concatenate([diag, re, re, re + 1, re + 1])
+    ones = np.ones(i.size)
+    t = sp.csr_matrix((np.concatenate([np.ones(d), ones, ones, 1j * ones, -1j * ones]),
+                       (vec_pos, coord)), shape=(d * d, d * d))
+    t_inv = sp.csr_matrix((np.concatenate([np.ones(d), ones / 2, ones / 2, -0.5j * ones,
+                                           0.5j * ones]), (coord, vec_pos)), shape=(d * d, d * d))
+    return t, t_inv
+
+
 def _sector_sign(act):
     # p_i p_j of entry i + d j of a column-stacked state
     return np.kron(act.meta["parity"], act.meta["parity"])
@@ -477,18 +498,78 @@ class TestSectorBlocks:
     @pytest.mark.parametrize("levels,cutoff", [pytest.param(None, None, id="reduced"),
                                                (2, 2), (5, 1)])
     def test_matvec_is_the_assembled_superoperator(self, levels, cutoff):
+        # matvec multiplies real coordinates by R, the direct sum of the
+        # sector blocks, bit for bit, whichever sectors hold a nonzero
         act = _tier_action(levels, cutoff)
-        lsp = sp.csr_matrix(act.meta["sparse_superop"])
-        sign = _sector_sign(act)
+        r = sp.block_diag(act.meta["blocks"], format="csr")
+        lead = act.coordinates.sizes[0]
         rng = np.random.default_rng(67)
-        mixed = rng.normal(size=sign.size) + 1j * rng.normal(size=sign.size)
-        even, odd = mixed * (sign > 0), mixed * (sign < 0)
+        mixed = rng.normal(size=r.shape[0])
+        even, odd = mixed.copy(), mixed.copy()
+        even[lead:], odd[:lead] = 0.0, 0.0
         nan_odd, nan_even = even.copy(), odd.copy()
-        nan_odd[np.flatnonzero(sign < 0)[5]] = np.nan   # the odd block must run
-        nan_even[np.flatnonzero(sign > 0)[5]] = np.nan
+        nan_odd[lead + 5] = np.nan   # the odd block must run
+        nan_even[5] = np.nan
         for v in (even, odd, mixed, np.zeros_like(mixed), nan_odd, nan_even):
-            assert act.matvec(v).tobytes() == (lsp @ v).tobytes()
-        assert np.isnan(act.matvec(nan_odd)[sign < 0]).any()
+            assert act.matvec(v).tobytes() == (r @ v).tobytes()
+        assert np.isnan(act.matvec(nan_odd)[lead:]).any()
+        # the even sector alone, as a leading slice, is its block's product
+        head = mixed[:lead]
+        assert act.matvec(head).tobytes() == (act.meta["blocks"][0] @ head).tobytes()
+
+    @pytest.mark.parametrize("levels,cutoff", TIER_SPACES + [(2, 4)])
+    def test_real_generator_is_the_transformed_chained_sum(self, levels, cutoff):
+        # R = T^-1 L T from the term-by-term sum, by sparse products that are
+        # exact (each entry one or two products by 1, 1/2 or +-i/2), has no
+        # imaginary part and the bits of the stored blocks
+        act = _tier_action(levels, cutoff)
+        t, t_inv = _coordinate_transform(act)
+        ref = (t_inv @ (_chained_superoperator(act) @ t)).tocsr()
+        assert not ref.imag.count_nonzero()
+        ref = sp.csr_matrix(ref.real)
+        ref.eliminate_zeros()
+        ref.sort_indices()
+        r = sp.block_diag(act.meta["blocks"], format="csr")
+        assert r.has_canonical_format
+        assert np.array_equal(r.indptr, ref.indptr) and np.array_equal(r.indices, ref.indices)
+        assert r.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("levels,cutoff", [pytest.param(None, None, id="reduced"),
+                                               (2, 2), (5, 1)])
+    def test_complex_matvec_is_the_superoperator_on_coordinates(self, levels, cutoff):
+        # a complex coordinate vector is a non-hermitian matrix X; matvec
+        # gives the coordinates of L vec(X)
+        act = _tier_action(levels, cutoff)
+        d, coords = act.dim, act.coordinates
+        rng = np.random.default_rng(69)
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        c = coords.of(x)
+        assert np.iscomplexobj(c)
+        np.testing.assert_allclose(coords.vec(c), x.reshape(-1, order="F"), rtol=0, atol=1e-15 * d)
+        lx = act.meta["sparse_superop"] @ x.reshape(-1, order="F")
+        ref = coords.of(lx.reshape((d, d), order="F"))
+        out = act.matvec(c)
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+        # the real and imaginary parts are two real products
+        assert np.array_equal(out, act.matvec(c.real) + 1j * act.matvec(c.imag))
+
+    def test_coordinates_of_a_hermitian_matrix(self):
+        # the diagonal, then Re and Im of each pair i < j, even sector first
+        act = _tier_action(2, 1)
+        d, par, coords = act.dim, act.meta["parity"], act.coordinates
+        rho = rand_herm_state(np.random.default_rng(70), d)
+        rho = (rho + dagger(rho)) / 2.0   # hermitian to the last bit
+        c = coords.of(rho)
+        assert c.dtype == float and c.size == d * d
+        pairs = [(i, j) for j in range(d) for i in range(j)]
+        order = ([p for p in pairs if par[p[0]] == par[p[1]]]
+                 + [p for p in pairs if par[p[0]] != par[p[1]]])
+        expect = np.concatenate([rho.diagonal().real]
+                                + [[rho[i, j].real, rho[i, j].imag] for i, j in order])
+        assert np.array_equal(c, expect)
+        assert coords.sizes == (d + 2 * sum(par[i] == par[j] for i, j in pairs),
+                                2 * sum(par[i] != par[j] for i, j in pairs))
+        assert np.array_equal(coords.vec(c).reshape((d, d), order="F"), rho)
 
     def test_superoperator_is_the_callers(self):
         act = _tier_action(2, 1)
@@ -712,21 +793,23 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("levels,cutoff", [(2, 2), (5, 2)])
     def test_shifted_inverse_solves_each_sector(self, levels, cutoff):
-        # scatter (A - s)^-1 y into rho and apply K rho + rho K+ - s rho
-        # densely: it must give back y, in both sectors.  Full tier, cutoff
-        # 2: parity blocks of 113 and 112 states, past the recursion leaf
+        # map a sector's coordinates y and (A - s)^-1 y to rho and apply
+        # K rho + rho K+ - s rho densely: it must give back y, in both
+        # sectors.  Full tier, cutoff 2: parity blocks of 113 and 112
+        # states, past the recursion leaf
         act = _tier_action(levels, cutoff)
-        d = act.dim
+        d, coords = act.dim, act.coordinates
         k = no_jump_generator(*act.meta["operators"])
         s = _SYLVESTER_SHIFT * act.rate_scale
         inv = ShiftedNoJumpInverse(k, act.meta["parity"], s)
+        lead = coords.sizes[0]
         rng = np.random.default_rng(65)
         for sector in SECTOR_BLOCKS:
-            index = inv.index[sector]
-            y = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
-            x, yy = np.zeros(d * d, dtype=complex), np.zeros(d * d, dtype=complex)
-            x[index], yy[index] = inv.solve(y, sector), y
-            x, yy = x.reshape((d, d), order="F"), yy.reshape((d, d), order="F")
+            where = slice(0, lead) if sector == "even" else slice(lead, d * d)
+            y = rng.normal(size=inv.size[sector])
+            x, yy = np.zeros(d * d), np.zeros(d * d)
+            x[where], yy[where] = inv.solve(y, sector), y
+            x, yy = (coords.vec(v).reshape((d, d), order="F") for v in (x, yy))
             back = k @ x + x @ dagger(k) - s * x
             assert np.linalg.norm(back - yy) <= 1e-12 * np.linalg.norm(k, 2) * np.linalg.norm(x)
 
@@ -753,6 +836,30 @@ class TestParitySectors:
         healthy = _BorderedSectors(_tier_action(2, 2))
         for sector in SECTOR_BLOCKS:
             assert healthy.probe(sector)[0] < 1e-3 * _PROBE_LIMIT
+
+
+class TestStrongDrive:
+    # fig. 3 parameters at Omega_s 300, full cutoff 2: the rounding floor
+    # u ||B|| ||x|| / ||b|| of the bordered solve lies near GMRES's 1e-13
+    # target, which once made this well-posed point fail
+    def test_fig3_at_omega_s_300(self, monkeypatch):
+        with pytest.warns(UserWarning, match="large-detuning"):
+            p = fig3_like(Omega_s=300.0)
+        space = ModelSpace(5, 2)
+        act = build_full_liouvillian(p, space)
+        rho = steady_state_nullspace(act)
+        assert np.linalg.norm(act.apply(rho)) <= 1e-12 * act.rate_scale
+        fid = fef_fidelity(qubit_marginal(rho, space))
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_GMRES_RTOL", 1e-12)
+            loose = steady_state_nullspace(act)
+        assert abs(fid - fef_fidelity(qubit_marginal(loose, space))) <= 1e-12
+        # the next cutoff moves the fidelity by less than the population
+        # that cutoff 2 holds in its top photon state
+        space3 = ModelSpace(5, 3)
+        rho3 = steady_state_nullspace(build_full_liouvillian(p, space3))
+        top = top_fock_population(rho, space)
+        assert abs(fid - fef_fidelity(qubit_marginal(rho3, space3))) <= top
 
 
 class TestDetuningWarning:

@@ -3,12 +3,14 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from casqed import dynamics
 from casqed.errors import ConvergenceError, DegenerateSteadyState, IntegrationError, ParityError
 from casqed.dynamics import (
     _PROBE_LIMIT,
     _SYLVESTER_LEAF,
     LiouvillianAction,
     _BorderedSectors,
+    _error_norm,
     integrate,
     liouvillian_from_operators,
     steady_state_longtime,
@@ -94,6 +96,39 @@ class TestIntegrate:
             rhs = al * action.apply(r1) + be * action.apply(r2)
             assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
+    def test_hand_built_and_parity_free_generators_take_one_path(self):
+        # without a declared parity there is one sector: DP5 hands matvec
+        # all d^2 real coordinates, for a hand-built action as for a built one
+        declared = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
+        plain = liouvillian_from_operators(*declared.meta["operators"], declared.rate_scale)
+        for action in (zero_action(), plain):
+            inner, seen = action.matvec, []
+
+            def counted(v, inner=inner, seen=seen):
+                seen.append((v.dtype, v.size))
+                return inner(v)
+
+            action.matvec = counted
+            traj = integrate(action, initial_ground_state(), np.linspace(0.0, 1.0, 3))
+            assert seen and set(seen) == {(np.dtype(float), 16)}
+            assert all(np.array_equal(state, dagger(state)) for state in traj.states)
+
+    @pytest.mark.parametrize("sectors", ["even", "both"])
+    def test_error_norm_is_the_rms_over_every_entry(self, sectors):
+        # the norm on coordinates is the RMS over all d^2 column-stacked
+        # entries of the matrices they stand for, so DP5 takes the steps it
+        # would take on the full state
+        act = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
+        coords, d = act.coordinates, act.dim
+        rng = np.random.default_rng(71)
+        n = coords.sizes[0] if sectors == "even" else d * d
+        e, y, y5 = (rng.normal(size=n) * 10.0 ** rng.integers(-9, 1, size=n) for _ in range(3))
+        abs_tol, rel_tol = 1e-8, 1e-6
+        ev, yv, y5v = (np.abs(coords.vec(x)) for x in (e, y, y5))
+        ref = np.sqrt(np.mean((ev / (abs_tol + rel_tol * np.maximum(yv, y5v))) ** 2))
+        got = _error_norm(e, y, y5, d, abs_tol, rel_tol)
+        assert abs(got - ref) <= 1e-14 * ref
+
     def test_rejects_bad_initial_state(self):
         action = zero_action()
         with pytest.raises(IntegrationError):
@@ -117,6 +152,30 @@ class TestSteadyStateNullspace:
         # must raise rather than return a state of NaNs
         with pytest.raises(ConvergenceError, match="overflowed"):
             steady_state_nullspace(liouvillian_action(MatchedDrive(2e80, 1e80, 0.98).params()))
+
+    def test_target_below_the_rounding_floor_accepts_a_backward_stable_state(self, monkeypatch):
+        # no solve reaches a relative residual of 1e-18: GMRES stops short of
+        # it, and the state is accepted on its normwise backward error
+        act = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
+        ref = steady_state_nullspace(act)
+        errors = []
+        backward_error = _BorderedSectors.backward_error
+
+        def recorded(self, x, b):
+            errors.append(backward_error(self, x, b))
+            return errors[-1]
+
+        monkeypatch.setattr(_BorderedSectors, "backward_error", recorded)
+        monkeypatch.setattr(dynamics, "_GMRES_RTOL", 1e-18)
+        rho = steady_state_nullspace(act)
+        assert len(errors) == 1 and errors[0] <= dynamics._BACKWARD_TOL
+        assert np.abs(rho - ref).max() <= 1e-13
+
+    def test_unconverged_solve_reports_its_iterations(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_GMRES_RESTART", 3)
+        monkeypatch.setattr(dynamics, "_GMRES_CYCLES", 1)
+        with pytest.raises(ConvergenceError, match="in 3 iterations"):
+            steady_state_nullspace(liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params()))
 
     def test_agrees_with_longtime(self):
         m = MatchedDrive(1.6, 1.0, 0.9)
@@ -147,7 +206,7 @@ class TestParity:
         declared = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
         ops = declared.meta["operators"]
         plain = liouvillian_from_operators(*ops, rate_scale=declared.rate_scale)
-        assert _BorderedSectors(plain).inverse.index["odd"].size == 0
+        assert _BorderedSectors(plain).size["odd"] == 0
         rho = steady_state_nullspace(plain)
         assert np.abs(rho - steady_state_nullspace(declared)).max() <= 1e-13
 
