@@ -18,27 +18,42 @@ block per sector, and every application of the generator is one real
 sparse product.  Full matrices appear only at the edges: the initial
 state, each returned sample or state, and :meth:`LiouvillianAction.apply`.
 
-The integrator is an adaptive embedded Dormand-Prince 5(4) pair on those
-coordinates.  The generator maps each parity sector into itself, so DP5
-advances only the sectors rho0 occupies, which are a leading slice of
-the coordinates (the even sector alone from the vacuum ground state).
-Its error norm is the RMS over all d^2 entries of the column-stacked
-state: an off-diagonal pair stands for rho_ij and rho_ji, both of
-modulus hypot(Re, Im), so it counts twice, and the unoccupied sectors
-add exact zeros; the steps are those of DP5 on the full state.  Every
-state is hermitian by construction; the trace is conserved exactly by
-linearity of a trace-preserving generator, and drift beyond 1e-9 is
-treated as an integrator failure.  Positivity is never projected:
-violations surface in the returned states and are the caller's signal
-that tolerances were too loose.
+The integrator takes adaptive Krylov exponential steps on those
+coordinates (Hochbruck & Lubich, *SIAM J. Numer. Anal.* 34, 1911 (1997);
+Sidje, Expokit, *ACM TOMS* 24, 130 (1998)).  The generator maps each
+parity sector into itself, so the steps advance only the sectors rho0
+occupies, which are a leading slice of the coordinates (the even sector
+alone from the vacuum ground state).  R is linear and time-independent,
+so a step is exp(h R) y = y + h phi_1(h R) f with f = R y and
+phi_1(z) = (e^z - 1) / z.  Each step runs Arnoldi on f, R V = V H +
+h_(k+1,k) v_(k+1) e_k^T with at most ``_KRYLOV_DIM`` vectors, and takes
+y + h beta V phi_1(h H) e_1, beta = ||f||; phi_1 and phi_2 come from one
+``expm`` of a (k + 2) x (k + 2) augmented matrix.  The step's error
+estimate is the next term of that expansion,
+h^2 beta h_(k+1,k) [phi_2(h H) e_1]_k v_(k+1), and the step is accepted
+when its norm is at most 1.  That norm is the RMS over all d^2 entries of
+the column-stacked state of |e_ij| / (abs_tol + rel_tol |rho_ij|), with
+the larger |rho_ij| of the step's start and end: an off-diagonal pair
+stands for rho_ij and rho_ji, both of modulus hypot(Re, Im), so it counts
+twice, and the unoccupied sectors add exact zeros; the steps are those
+taken on the full state.  A rejected step keeps its basis and recomputes
+only the small exponential at a shorter h.  The Arnoldi space ends early
+when the orthogonalized remainder of R v_j is below 64 unit roundoffs of
+||R v_j||: the span is then invariant, the step exact at any length, and
+a direction of rounding noise never enters the basis.
 
-Strongly detuned models are stiff, and no builder states how stiff.
-Error control finds the stable step by itself (Hairer & Wanner, *Solving
-ODEs II*, section IV.2): a step past the stability boundary lets the
-fast modes grow, the error estimate rejects it, and the step settles at
-the boundary.  Every eigenmode of a linear generator is propagated
-independently, so the slow (observable) dynamics and the steady state
-stay accurate.
+Every state is hermitian by construction.  Every Krylov vector lies in
+the range of R, which is traceless, so the trace is conserved to
+rounding; drift beyond 1e-9 is treated as an integrator failure.
+Positivity is never projected: violations surface in the returned
+states and are the caller's signal that tolerances were too loose.
+
+Strongly detuned models have weakly damped fast oscillations, and no
+builder states how fast.  An explicit Runge-Kutta method is held near
+h rho(R) ~ 1 by its stability region, at about six generator calls per
+radian of the fastest oscillation.  A Krylov step of k vectors resolves
+h rho(R) of order k, so the same span costs about one call per radian,
+and no stiff scale has to be declared.
 
 Steady states of every tier are solved directly.  Each builder declares
 a parity P (a +-1 vector on the basis states) that
@@ -87,6 +102,17 @@ NULLSPACE_DIM_LIMIT = 64
 
 #: accepted plus rejected steps after which :func:`integrate` gives up
 _MAX_STEPS = 50_000_000
+#: Krylov dimension of each exponential step in :func:`integrate`, capped at
+#: the length of the occupied slice; the basis holds _KRYLOV_DIM + 1 vectors
+_KRYLOV_DIM = 30
+#: the Arnoldi space ends when the orthogonalized remainder of R v_j is at
+#: most this times ||R v_j||: 64 unit roundoffs, so that a direction of
+#: rounding noise never enters the basis
+_BREAKDOWN = 64 * np.finfo(float).eps / 2
+#: a Gram-Schmidt pass that keeps less than this share of the vector's norm
+#: is repeated once (Daniel, Gragg, Kaufman & Stewart, *Math. Comp.* 30, 772
+#: (1976))
+_REORTHOGONALIZE = 1 / np.sqrt(2)
 
 
 class SectorCoordinates:
@@ -519,23 +545,60 @@ class SteadyStateResult:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4)
+# Krylov exponential steps
 # ---------------------------------------------------------------------------
 
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_E = _DP_B5 - _DP_B4
+def _applied(rhs, v: np.ndarray) -> tuple:
+    """(R v, ||R v||); a non-finite result raises :class:`IntegrationError`."""
+    w = rhs(v)
+    norm = np.linalg.norm(w)
+    if not np.isfinite(norm):
+        raise IntegrationError("the generator returned a non-finite value")
+    return w, norm
+
+
+def _arnoldi(rhs, basis: np.ndarray, hess: np.ndarray) -> int:
+    """The Arnoldi decomposition R V_k = V_k H_k + h_(k+1,k) v_(k+1) e_k^T,
+    k <= m, from the unit vector ``basis[0]``; returns k.
+
+    Fills ``basis`` (m + 1, n) with v_1, ..., v_(k+1) and ``hess`` (m + 1, m),
+    which must be zero, with H_k and h_(k+1,k).  Each new vector is
+    orthogonalized by classical Gram-Schmidt, and once more when the pass
+    kept less than _REORTHOGONALIZE of its norm.  The space ends early
+    when the remainder of R v_j is at most _BREAKDOWN ||R v_j||: then
+    h_(k+1,k) stays 0, the span of V_k is invariant under R to rounding,
+    and the step from it is exact at any length.
+    """
+    m = hess.shape[1]
+    for j in range(m):
+        w, norm = _applied(rhs, basis[j])
+        rest = norm
+        for _ in range(2):   # a second pass only after cancellation
+            c = basis[:j + 1] @ w
+            w = w - c @ basis[:j + 1]
+            hess[:j + 1, j] += c
+            rest, before = np.linalg.norm(w), rest
+            if rest >= _REORTHOGONALIZE * before:
+                break
+        if rest <= _BREAKDOWN * norm:
+            return j + 1
+        hess[j + 1, j] = rest
+        np.divide(w, rest, out=basis[j + 1])
+    return m
+
+
+def _phi_columns(hess: np.ndarray, h: float) -> tuple:
+    """(phi_1(h H) e_1, [phi_2(h H) e_1]_k) from one ``expm`` of the
+    augmented (k + 2) x (k + 2) matrix [[h H, e_1, 0], [0, 0, 1], [0, 0, 0]]
+    (Sidje, *ACM TOMS* 24, 130 (1998)), whose last two columns above the
+    diagonal block are phi_1(h H) e_1 and phi_2(h H) e_1."""
+    k = hess.shape[0]
+    aug = np.zeros((k + 2, k + 2))
+    aug[:k, :k] = h * hess
+    aug[0, k] = 1.0
+    aug[k, k + 1] = 1.0
+    e = scipy.linalg.expm(aug)
+    return e[:k, k], e[k - 1, k + 1]
 
 
 def _check_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
@@ -547,19 +610,19 @@ def _check_rho0(rho0: np.ndarray, dim: int) -> np.ndarray:
     return (rho0 + dagger(rho0)) / 2.0
 
 
-def _error_norm(e, y, y5, dim: int, abs_tol: float, rel_tol: float) -> float:
-    """DP5's error norm on leading coordinates: the RMS of
-    |e_ij| / (abs_tol + rel_tol max(|y_ij|, |y5_ij|)) over all d^2 entries of
-    the column-stacked state.  An off-diagonal pair stands for rho_ij and
+def _error_norm(e, y, y_new, dim: int, abs_tol: float, rel_tol: float) -> float:
+    """A step's error norm on leading coordinates: the RMS of
+    |e_ij| / (abs_tol + rel_tol max(|y_ij|, |y_new_ij|)) over all d^2 entries
+    of the column-stacked state.  An off-diagonal pair stands for rho_ij and
     rho_ji, both of modulus hypot(Re, Im), so it counts twice; entries past
     the slice are zero and add nothing."""
     def mod2(x):   # |rho_ij|^2 of each pair
         return x[dim::2] ** 2 + x[dim + 1::2] ** 2
 
-    w = abs_tol + rel_tol * np.maximum(np.abs(y[:dim]), np.abs(y5[:dim]))
+    w = abs_tol + rel_tol * np.maximum(np.abs(y[:dim]), np.abs(y_new[:dim]))
     total = np.sum((e[:dim] / w) ** 2)
     if e.size > dim:
-        w = abs_tol + rel_tol * np.sqrt(np.maximum(mod2(y), mod2(y5)))
+        w = abs_tol + rel_tol * np.sqrt(np.maximum(mod2(y), mod2(y_new)))
         total += 2.0 * np.sum(mod2(e) / w ** 2)
     return float(np.sqrt(total / (dim * dim)))
 
@@ -573,12 +636,15 @@ def integrate(
 ) -> Trajectory:
     """Propagate a density matrix and sample it at the requested times.
 
-    Adaptive Dormand-Prince 5(4) on the real coordinates of the occupied
-    sectors, with an elementwise error weight ``abs_tol + rel_tol * |entry|``
-    (see module docstring).  Entries smaller than ``abs_tol`` are kept
-    bounded rather than relatively accurate, which is what makes stiff
-    detuned models affordable.  The step comes from the error estimate
-    alone; on a stiff generator it settles at the stability boundary.
+    Adaptive Krylov exponential steps on the real coordinates of the
+    occupied sectors (see module docstring): each step builds one Arnoldi
+    basis of at most _KRYLOV_DIM vectors from f = R y and takes
+    y + h beta V phi_1(h H) e_1, with the error estimate
+    h^2 beta h_(k+1,k) [phi_2(h H) e_1]_k v_(k+1) weighted elementwise by
+    ``abs_tol + rel_tol * |entry|``.  Entries smaller than ``abs_tol`` are
+    kept bounded rather than relatively accurate.  A rejected step keeps
+    its basis and only recomputes the small exponential at a shorter h.
+    Steps land exactly on the sample times.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) < 0):
@@ -599,64 +665,61 @@ def integrate(
     if span == 0.0:
         return Trajectory(times=times, states=[sample(y) for _ in times])
 
-    # DP5 advances the leading sectors rho0 occupies; L keeps the others zero
+    # the steps advance the leading sectors rho0 occupies; L keeps the others zero
     y = y[:coords.occupied(y)]
     out = [sample(y)]
+    m = min(_KRYLOV_DIM, y.size)
 
     scale = max(liouvillian.rate_scale, 1e-300)
     h = min(span / 100.0, 0.1 / scale)
     h_min = max(span, 1.0 / scale) * 1e-14
 
-    k = np.empty((7, y.size))
-    k[0] = rhs(y)
-    states_iter = iter(range(1, times.size))
-    next_i = next(states_iter, None)
-
+    basis, hess = np.empty((m + 1, y.size)), np.empty((m + 1, m))
     steps = 0
-    just_rejected = False
-    while next_i is not None:
-        t_target = float(times[next_i])
-        clipped = False
-        if t + h >= t_target:
-            h_use = t_target - t
-            clipped = True
-        else:
-            h_use = h
-        if h_use <= 0.0:
-            # duplicate time point
-            out.append(sample(y))
-            next_i = next(states_iter, None)
-            continue
-
-        for i in range(1, 7):
-            k[i] = rhs(y + (h_use * _DP_A[i]) @ k[:i])
-        y5 = y + (h_use * _DP_B5) @ k
-        err = _error_norm((h_use * _DP_E) @ k, y, y5, dim, abs_tol, rel_tol)
-
-        if err <= 1.0:
-            t = t + h_use
-            y = y5
-            k[0] = k[6]   # FSAL: stage 7 was evaluated at y5
-            if clipped and abs(t - t_target) <= 1e-12 * max(1.0, abs(t_target)):
-                out.append(sample(y))
-                next_i = next(states_iter, None)
-            # no growth right after a rejection: at the stability boundary
-            # this keeps the step from cycling between rejected and accepted
-            growth = 1.0 if just_rejected else 2.0
-            factor = min(growth, 0.9 * err ** -0.2) if err > 0.0 else growth
-            just_rejected = False
-        else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-            just_rejected = True
-        h = max(h * max(0.2, factor), h_min)
-        if h <= h_min and err > 1.0:
-            raise IntegrationError(
-                f"step-size underflow at t={t:g} (err={err:g}); generator too stiff "
-                "for the requested tolerances"
-            )
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise IntegrationError(f"exceeded {_MAX_STEPS} steps before t={times[-1]:g}")
+    for t_target in times[1:]:
+        while t < t_target:
+            f, beta = _applied(rhs, y)
+            if beta == 0.0:   # a stationary state: exp(h R) y = y
+                t = t_target
+                break
+            np.divide(f, beta, out=basis[0])
+            hess.fill(0.0)
+            k = _arnoldi(rhs, basis, hess)
+            h_next = hess[k, k - 1]   # 0 for an invariant space
+            while True:
+                h_use = min(h, t_target - t)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    phi1, phi2 = _phi_columns(hess[:k, :k], h_use)
+                if not (np.isfinite(phi1).all() and np.isfinite(phi2)):
+                    err = np.inf   # the small exponential overflowed
+                else:
+                    y_new = y + (h_use * beta) * (phi1 @ basis[:k])
+                    err = 0.0 if h_next == 0.0 else _error_norm(
+                        (h_use * h_use * beta * h_next * phi2) * basis[k], y, y_new,
+                        dim, abs_tol, rel_tol)
+                steps += 1
+                if steps > _MAX_STEPS:
+                    raise IntegrationError(f"exceeded {_MAX_STEPS} steps before t={times[-1]:g}")
+                # the error grows as h^(k+1); an overflowing exponential
+                # shrinks h fivefold
+                factor = 0.9 * err ** (-1.0 / (k + 1)) if err > 0.0 else np.inf
+                if err <= 1.0:
+                    break
+                h = max(h_use * max(0.2, factor), h_min)
+                if h_use <= h_min:
+                    raise IntegrationError(
+                        f"step-size underflow at t={t:g} (err={err:g}); generator too stiff "
+                        "for the requested tolerances"
+                    )
+            clipped = h_use == t_target - t
+            t = t_target if clipped else t + h_use
+            y = y_new
+            if h_next == 0.0:   # an invariant space: exact at any step
+                h = np.inf
+            else:
+                grown = h_use * min(5.0, factor)
+                h = max(h, grown) if clipped else grown
+        out.append(sample(y))
 
     drift = abs(np.real(np.trace(out[-1])) - trace0)
     if drift > 1e-9:

@@ -31,9 +31,11 @@ even sector of the photon-plus-atom parity (-1)^(n1+n2) pi1 pi2, which
 holds half the unknowns, preconditioned by a Sylvester solve per parity
 block, with a degeneracy probe on the even and on the odd sector.  A
 fig. 3 full-tier point (cutoffs 1 to 3) takes a few seconds.  Time
-evolution of the full tier runs at its stability limit (detunings of
-order 2 pi x 8 GHz against microsecond relaxation), so full-tier
-``evolve`` runs are slow.
+evolution takes Krylov exponential steps (see :mod:`casqed.dynamics`) at
+about one generator call per radian of the fastest oscillation; in the
+full tier that is the detuning, of order 2 pi x 8 GHz against
+microsecond relaxation, so full-tier ``evolve`` runs over microseconds
+are still slow.
 
 Sweeps with ``--workers N`` send the points (reduced tier: the blocks)
 to the worker processes in chunks, each chunk with the point function
@@ -77,10 +79,11 @@ from .reduced import (
 )
 from .svgplot import line_plot
 
-#: default (rel_tol, abs_tol) per tier.  The full tier runs at its
-#: stability boundary: at abs_tol 1e-3, DP5 returned matrices that are not states
-#: (||rho||_F 5.9, an eigenvalue of -3.7); at these tolerances the samples
-#: stay states (see TestTierTolerances in tests/test_experiments.py)
+#: default (rel_tol, abs_tol) per tier.  The full tier's were set for the
+#: explicit Dormand-Prince integrator used before the Krylov steps: at
+#: abs_tol 1e-3 it returned matrices that are not states (||rho||_F 5.9, an
+#: eigenvalue of -3.7).  At these tolerances the samples stay states (see
+#: TestTierTolerances in tests/test_experiments.py)
 TIER_TOLS = {
     "reduced": (1e-8, 1e-12),
     "effective": (1e-7, 1e-10),

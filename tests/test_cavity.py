@@ -580,7 +580,7 @@ class TestSectorBlocks:
 
     @pytest.mark.parametrize("levels,cutoff,t_max", [(2, 2, 0.05), (5, 1, 0.002)])
     def test_integrate_matches_the_full_space_path(self, levels, cutoff, t_max):
-        # DP5 on the occupied (even) sector against DP5 on all d^2 entries
+        # the steps on the occupied (even) sector against those on all d^2 entries
         act = _tier_action(levels, cutoff)
         rho0 = vacuum_ground_state(act.meta["space"])
         times = np.linspace(0.0, t_max, 3)
@@ -954,8 +954,8 @@ class TestFullModel:
         assert fids[8.0] < fids[0.0] - 1e-3
 
     def test_stiff_generator_needs_no_declared_rate(self):
-        # no builder states how stiff its generator is: DP5's error control
-        # must find the stable step by itself and stay on the exact trajectory
+        # no builder states how stiff its generator is: the integrator's error
+        # control must find its step by itself and stay on the exact trajectory
         space = ModelSpace(5, 1)
         act = build_full_liouvillian(scaled_params(gamma=3.0), space)
         rho0 = vacuum_ground_state(space)
@@ -965,6 +965,21 @@ class TestFullModel:
         for rho, vec in zip(traj.states, exact):
             assert np.linalg.norm(rho - vec.reshape(rho.shape, order="F")) <= 1e-4
             assert np.linalg.eigvalsh(rho).min() >= -1e-6
+
+    def test_fig3_samples_lie_on_the_exact_trajectory(self):
+        # at fig. 3 parameters the generator oscillates at the detuning scale;
+        # at the tier's default tolerances each sample is on the exact
+        # trajectory and a state
+        space = ModelSpace(5, 1)
+        act = build_full_liouvillian(fig3_like(), space)
+        rho0 = vacuum_ground_state(space)
+        rel_tol, abs_tol = experiments.TIER_TOLS["full"]
+        traj = integrate(act, rho0, np.linspace(0.0, 0.02, 5), rel_tol=rel_tol, abs_tol=abs_tol)
+        exact = spla.expm_multiply(act.meta["sparse_superop"], rho0.reshape(-1, order="F"),
+                                   start=0.0, stop=0.02, num=5, endpoint=True)
+        for rho, vec in zip(traj.states, exact):
+            assert np.linalg.norm(rho - vec.reshape(rho.shape, order="F")) <= 1e-6
+            assert np.linalg.eigvalsh(rho).min() >= -1e-8
 
     def test_wrong_space_rejected(self):
         p = scaled_params()

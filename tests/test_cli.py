@@ -319,6 +319,16 @@ def test_evolve_writes_csv_manifest_and_svg(tmp_path):
     assert (again / "out" / "timeseries.csv").read_bytes() == (out / "timeseries.csv").read_bytes()
 
 
+@pytest.mark.parametrize("t_max", [20, 1000])
+def test_default_reduced_evolve_runs_long(tmp_path, t_max):
+    # the epsilon = 1 dark state has no photon flux: an integration error
+    # of order 1e-12 would make it negative beyond the flux guard
+    assert run(tmp_path, f"time.t_max_us = {t_max}\n", "evolve") == 0
+    lines = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
+    fidelity = lines[0].split(",").index("fidelity")
+    assert abs(float(lines[-2].split(",")[fidelity]) - 0.9) <= 1e-6
+
+
 def test_steady_prints_a_small_frobenius_difference(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("drive.epsilon = 0.98\n")

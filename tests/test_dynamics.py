@@ -97,7 +97,7 @@ class TestIntegrate:
             assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
     def test_hand_built_and_parity_free_generators_take_one_path(self):
-        # without a declared parity there is one sector: DP5 hands matvec
+        # without a declared parity there is one sector: integrate hands matvec
         # all d^2 real coordinates, for a hand-built action as for a built one
         declared = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
         plain = liouvillian_from_operators(*declared.meta["operators"], declared.rate_scale)
@@ -116,8 +116,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("sectors", ["even", "both"])
     def test_error_norm_is_the_rms_over_every_entry(self, sectors):
         # the norm on coordinates is the RMS over all d^2 column-stacked
-        # entries of the matrices they stand for, so DP5 takes the steps it
-        # would take on the full state
+        # entries of the matrices they stand for, so integrate takes the
+        # steps it would take on the full state
         act = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
         coords, d = act.coordinates, act.dim
         rng = np.random.default_rng(71)
@@ -128,6 +128,34 @@ class TestIntegrate:
         ref = np.sqrt(np.mean((ev / (abs_tol + rel_tol * np.maximum(yv, y5v))) ** 2))
         got = _error_norm(e, y, y5, d, abs_tol, rel_tol)
         assert abs(got - ref) <= 1e-14 * ref
+
+    def test_exhausted_krylov_space_is_the_exact_exponential(self):
+        # the reduced generator's occupied sector is shorter than a Krylov
+        # basis, so every step spans an invariant space and is exact
+        p = MatchedDrive(2.0, 1.0, 0.98).params()
+        rho0 = initial_ground_state()
+        times = np.linspace(0.0, 1000.0, 11)
+        traj = integrate(liouvillian_action(p), rho0, times)
+        gen = liouvillian_matrix(p)
+        for t, rho in zip(times, traj.states):
+            exact = scipy.linalg.expm(gen * t) @ rho0.reshape(-1, order="F")
+            assert np.linalg.norm(rho - exact.reshape((4, 4), order="F")) <= 1e-12
+
+    @pytest.mark.parametrize("bad_call", [1, 5])
+    def test_non_finite_generator_raises(self, bad_call):
+        # a NaN from the generator, at a step's first call or inside its
+        # Krylov basis, ends the run instead of shrinking the step forever
+        action = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
+        inner, calls = action.matvec, []
+
+        def poisoned(v):
+            calls.append(1)
+            return inner(v) * (np.nan if len(calls) == bad_call else 1.0)
+
+        action.matvec = poisoned
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate(action, initial_ground_state(), [0.0, 1.0])
+        assert len(calls) == bad_call
 
     def test_rejects_bad_initial_state(self):
         action = zero_action()

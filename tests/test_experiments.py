@@ -129,8 +129,9 @@ physical.epsilon = 0.98
 
 class TestTierTolerances:
     def test_full_tier_defaults_return_states(self):
-        # at the former default abs_tol of 1e-3, DP5 sampled ||rho||_F up to
-        # 5.9 and an eigenvalue of -3.7 here
+        # at the former default abs_tol of 1e-3, the Dormand-Prince integrator
+        # used before the Krylov steps sampled ||rho||_F up to 5.9 and an
+        # eigenvalue of -3.7 here
         cfg = config(SCALED_FULL)
         model = build_tier(cfg, "full")
         rel, abs_ = TIER_TOLS["full"]
