@@ -33,7 +33,7 @@ from .dynamics import (
     steady_state_longtime,
     steady_state_nullspace,
 )
-from .metrics import concurrence, fef_fidelity, fef_oracle, purity, vn_entropy
+from .metrics import concurrence, fef_fidelity, purity, vn_entropy
 
 __all__ = [
     "TensorSpace", "dagger", "embed_at", "hermitian_eigen", "partial_trace",
@@ -41,6 +41,6 @@ __all__ = [
     "ModelSpace", "PhysicalParams", "derive_params", "stark_balance",
     "LiouvillianAction", "Trajectory", "integrate",
     "steady_state_longtime", "steady_state_nullspace",
-    "concurrence", "fef_fidelity", "fef_oracle", "purity", "vn_entropy",
+    "concurrence", "fef_fidelity", "purity", "vn_entropy",
     "__version__",
 ]

@@ -34,8 +34,8 @@ fig. 3 full-tier point (cutoffs 1 to 3) takes a few seconds.  Time
 evolution takes Krylov exponential steps (see :mod:`casqed.dynamics`) at
 about one generator call per radian of the fastest oscillation; in the
 full tier that is the detuning, of order 2 pi x 8 GHz against
-microsecond relaxation, so full-tier ``evolve`` runs over microseconds
-are still slow.
+microsecond relaxation.  A 30 us full-tier ``evolve`` at fig. 3
+parameters, cutoff 1, took 3.3 s in one measurement on a 2-core machine.
 
 Sweeps with ``--workers N`` send the points (reduced tier: the blocks)
 to the worker processes in chunks, each chunk with the point function
@@ -366,7 +366,10 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
     :class:`CasqedError` when a point failed.
     """
     t_start = time.perf_counter()
-    tier = cfg.tiers[0]
+    if len(cfg.tiers) != 1:   # the CSV has no tier column
+        raise ConfigError(f"a sweep runs one tier, model.tier lists {', '.join(cfg.tiers)}",
+                          key="model.tier")
+    tier, = cfg.tiers
     # a check that holds at every point or at none (the closed form's
     # matched drive) fails once, as a config error
     try:

@@ -4,12 +4,12 @@ States and operators on the joint space are plain ``numpy`` complex
 arrays: operators are 2-d arrays, state vectors are 1-d arrays, and a
 :class:`TensorSpace` records how a joint space factors into subsystems.
 The one factor lift, :func:`embed_at`, is sparse: every model builder
-assembles its operators from it as CSR matrices.  (Generators, which act
-on dim^2-long vectors, are sparse too; see :mod:`casqed.dynamics`.)
+assembles its operators from it as CSR matrices.  (Generators act on
+the real coordinates of a hermitian state; see :mod:`casqed.dynamics`.)
 
-Vectorization uses the column-stacking convention, under which
-``vec(A @ rho @ B) == kron(B.T, A) @ vec(rho)``.  That identity is the
-single contract the superoperator machinery relies on.
+Vectorization uses the column-stacking convention: :func:`unvec` reads a
+d^2-long vector column by column into a d x d matrix, so that
+``vec(A @ rho @ B) == kron(B.T, A) @ vec(rho)``.
 
 The hermitian eigensolver is LAPACK's, behind a hermiticity check.
 """
@@ -165,16 +165,9 @@ def eigvalsh_min(a: np.ndarray) -> np.ndarray:
 # vectorization (column stacking)
 # ---------------------------------------------------------------------------
 
-def vec_stack(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a square matrix into a vector."""
-    rho = asmatrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch("vec_stack needs a square matrix")
-    return rho.reshape(-1, order="F")
-
-
 def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec_stack`; the side length is inferred."""
+    """The d x d matrix whose stacked columns are the d^2-long vector
+    ``v``; the side length is inferred."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     n = int(round(np.sqrt(v.size)))
     if n * n != v.size:

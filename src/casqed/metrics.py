@@ -7,10 +7,10 @@ qubit's basis is (|1>, |0>) and the joint basis is
 Fidelity here means the fully entangled fraction (maximal singlet
 fraction): the largest overlap of the state with any maximally
 entangled two-qubit state.  It has a closed form -- the largest
-eigenvalue of the real part of the state written in the magic basis --
-and an independent lower-bound oracle that maximizes the overlap over
-sampled maximally entangled states.  If the two ever disagree beyond
-tolerance, trust the oracle and investigate; do not patch either one.
+eigenvalue of the real part of the state written in the magic basis.
+The tests check it against an independent lower-bound oracle that
+maximizes the overlap over sampled maximally entangled states
+(``fef_oracle`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -90,59 +90,6 @@ def fef_fidelity(rho):
     re = (m + np.swapaxes(m, -1, -2)).real / 2.0  # m is hermitian, so Re(m) is symmetric
     w, _ = hermitian_eigen(re.astype(complex))
     return float(w[-1]) if w.ndim == 1 else w[:, -1]
-
-
-def _haar_su2(rng) -> np.ndarray:
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
-
-
-def _phi_plus() -> np.ndarray:
-    return (_K00 + _K11) / np.sqrt(2.0)
-
-
-def _overlap(rho, u) -> float:
-    phi = np.kron(u, np.eye(2)) @ _phi_plus()
-    return float(np.real(np.conj(phi) @ rho @ phi))
-
-
-def fef_oracle(rho, samples: int = 10_000, seed: int = 0) -> float:
-    """Lower-bound estimate of the fully entangled fraction by sampling.
-
-    Maximizes <phi_U|rho|phi_U> over |phi_U> = (U x I)|phi+> for
-    ``samples`` Haar-random single-qubit unitaries, then refines the
-    best candidate with a shrinking random local search.  Every
-    candidate is a valid maximally entangled state, so the result never
-    exceeds the true maximum.  Deterministic for a given seed.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rho = _validated(rho, dim=4)
-    rng = np.random.default_rng(seed)
-    best_u = np.eye(2, dtype=complex)
-    best = _overlap(rho, best_u)
-    for _ in range(samples):
-        u = _haar_su2(rng)
-        val = _overlap(rho, u)
-        if val > best:
-            best, best_u = val, u
-    # local refinement: random small rotations with decaying step size
-    step = 0.3
-    for _ in range(400):
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h = (h + dagger(h)) / 2.0
-        w, v = hermitian_eigen(h)
-        g = v @ np.diag(np.exp(1j * step * w)) @ dagger(v)
-        cand = g @ best_u
-        val = _overlap(rho, cand)
-        if val > best:
-            best, best_u = val, cand
-        else:
-            step *= 0.97
-    return best
 
 
 def concurrence(rho) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LiouvillianAction, liouvillian_from_operators
-from .errors import DegenerateParams, DimensionMismatch, InvalidParams
+from .errors import DegenerateParams, InvalidParams
 from .linalg import TensorSpace, dagger, embed_at
 
 #: Two-qubit space, each factor ordered (|1>, |0>).
@@ -138,32 +138,6 @@ def jump_operators(p: ReducedParams):
     r1 = (p.beta_r1 * SIGMA_MINUS + p.beta_s1 * SIGMA_PLUS) / np.sqrt(p.kappa1)
     r2 = (p.beta_r2 * SIGMA_MINUS + p.beta_s2 * SIGMA_PLUS) / np.sqrt(p.kappa2)
     return embed_at(r1, 0, TWO_QUBITS).toarray(), embed_at(r2, 1, TWO_QUBITS).toarray()
-
-
-def _dissipator(c: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    cd = dagger(c)
-    cdc = cd @ c
-    return 2.0 * (c @ rho @ cd) - cdc @ rho - rho @ cdc
-
-
-def liouvillian_apply(p: ReducedParams, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side rho -> drho/dt of the cascaded master equation."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DimensionMismatch(f"expected a 4x4 state, got {rho.shape}")
-    r1, r2 = jump_operators(p)
-    out = _dissipator(r1, rho) + _dissipator(r2, rho)
-    r1d, r2d = dagger(r1), dagger(r2)
-    # cascaded coupling: -2 sqrt(eps) ([R1 rho, R2+] + [R2, rho R1+])
-    t1 = r1 @ rho @ r2d - r2d @ r1 @ rho
-    t2 = r2 @ rho @ r1d - rho @ r1d @ r2
-    out -= 2.0 * np.sqrt(p.epsilon) * (t1 + t2)
-    return out
-
-
-def liouvillian_matrix(p: ReducedParams) -> np.ndarray:
-    """The 16x16 superoperator L with unvec(L @ vec(rho)) == liouvillian_apply."""
-    return liouvillian_action(p).meta["sparse_superop"].toarray()
 
 
 def _scaled(a: complex, b: complex):
@@ -273,7 +247,7 @@ def cascade_decomposition(p: ReducedParams):
 
         -i[H_c, rho] + D[J] rho + D[J_res] rho
 
-    reproduces :func:`liouvillian_apply` identically.
+    reproduces the master equation in the module docstring identically.
     """
     r1, r2 = jump_operators(p)
     se = np.sqrt(p.epsilon)
@@ -304,7 +278,7 @@ def liouvillian_action(p: ReducedParams) -> LiouvillianAction:
     """The reduced generator in the operator form shared by every tier.
 
     No Hamiltonian, the dissipators D[R_1] and D[R_2], and the cascade
-    with q = -2 sqrt(eps): the terms of :func:`liouvillian_apply`.  Both
+    with q = -2 sqrt(eps): the terms of the module docstring.  Both
     jumps flip one qubit, so the parity pi_1 pi_2 (- on |1>) is a weak
     symmetry.
     """

@@ -157,6 +157,22 @@ def test_bad_coop_config_exits_2_before_any_point(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, tiers", [
+    ("sweep-eps", "reduced,effective"),
+    ("sweep-eps", "effective,reduced"),
+    ("sweep-coop", "reduced,effective"),
+])
+def test_sweep_of_two_tiers_exits_2_before_any_point(tmp_path, capsys, monkeypatch, command, tiers):
+    # the sweep CSV has no tier column: a second tier was dropped unseen
+    monkeypatch.setattr(experiments, "_run_points", lambda *a: pytest.fail("a point ran"))
+    text = with_key(FIG3 + "sweep.Y = 5,50\n", "model.tier", tiers)
+    text = with_key(with_key(text, "sweep.a_over_b", "1.5,2"), "sweep.epsilon", "0.9")
+    assert run(tmp_path, text, command) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "model.tier" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_reduced_evolve_runs_an_unmatched_drive(tmp_path):
     # evolve integrates the exact two-qubit generator, matched or not
     text = with_key(REDUCED_COOP, "physical.kappa2_2pi_MHz", 28.4) + "time.t_max_us = 1\ntime.n_points = 3\n"

@@ -26,9 +26,8 @@ from casqed.reduced import (
     initial_ground_state,
     jump_operators,
     liouvillian_action,
-    liouvillian_apply,
-    liouvillian_matrix,
 )
+from oracles import liouvillian_matrix
 
 
 def rand_herm(rng, n=4):
@@ -46,6 +45,21 @@ class TestIntegrate:
         traj = integrate(zero_action(), rho0, np.linspace(0, 10, 5))
         for state in traj.states:
             assert_allclose(state, rho0, atol=1e-15)
+
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.0, 0.0], [2.0, 2.0]])
+    def test_zero_span_returns_rho0_without_the_generator(self, times):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho0 = a @ a.conj().T
+        rho0 = (rho0 + rho0.conj().T) / (2.0 * np.trace(rho0).real)   # both sectors occupied
+        action = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
+        inner, calls = action.matvec, []
+        action.matvec = lambda v: calls.append(1) or inner(v)
+        traj = integrate(action, rho0, times)
+        assert not calls
+        assert len(traj.states) == len(times)
+        for state in traj.states:
+            assert np.array_equal(state, rho0)
 
     def test_relaxation_to_dark_state(self):
         action = liouvillian_action(MatchedDrive(2.0, 1.0, 1.0).params())

@@ -12,9 +12,9 @@ from casqed.linalg import (
     partial_trace,
     read_dm,
     unvec,
-    vec_stack,
     write_dm,
 )
+from oracles import vec_stack
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -9,12 +9,12 @@ from casqed.metrics import (
     METRIC_COLUMNS,
     concurrence,
     fef_fidelity,
-    fef_oracle,
     output_flux,
     purity,
     vn_entropy,
 )
 from casqed.reduced import MatchedDrive, analytic_steady_state, bell_states, dark_state
+from oracles import fef_oracle
 
 
 def proj(psi):

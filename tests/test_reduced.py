@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from casqed.dynamics import steady_state_nullspace
 from casqed.errors import DegenerateParams, DimensionMismatch, InvalidParams
-from casqed.linalg import dagger, unvec, vec_stack
+from casqed.linalg import dagger, unvec
 from casqed.metrics import fef_fidelity, purity
 from casqed.reduced import (
     SIGMA_MINUS,
@@ -18,10 +18,9 @@ from casqed.reduced import (
     initial_ground_state,
     jump_operators,
     liouvillian_action,
-    liouvillian_apply,
-    liouvillian_matrix,
     output_flux_operator,
 )
+from oracles import liouvillian_apply, liouvillian_matrix, vec_stack
 
 I2 = np.eye(2, dtype=complex)
 
