@@ -647,8 +647,9 @@ def integrate(
     Steps land exactly on the sample times.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) < 0):
-        raise IntegrationError("times must be a non-empty ascending 1-d grid")
+    if (times.ndim != 1 or times.size < 1 or not np.isfinite(times).all()
+            or np.any(np.diff(times) < 0)):
+        raise IntegrationError("times must be a non-empty ascending 1-d grid of finite values")
     dim = liouvillian.dim
     rho0 = _check_rho0(rho0, dim)
     coords = liouvillian.coordinates

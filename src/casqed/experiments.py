@@ -13,17 +13,29 @@ Model tiers
 ``effective`` two-level atoms + cavity modes;
 ``full``      five-level atoms + cavity modes + spontaneous emission.
 
-Every point of ``sweep-eps`` and ``sweep-coop`` takes one path: its
-parameters come from :func:`physical_params` (the physical block with
-a/b, epsilon or the cooperativity Y replaced).  The reduced tier takes
-the closed form on a matched drive, from ``drive.*`` or recovered from
-the point's reduced parameters, in blocks of :data:`REDUCED_BLOCK`
-points: one array pass gives the states and fidelities of a block, and a
-block that raises is split in halves until each failing point stands
-alone with its own error.  The cavity tiers take the qubit marginal of
-:func:`converged_steady_state`, one point at a time, and record in the
-point's manifest entry the Fock cutoff it accepted and that cutoff's
-top-photon population.  One writer emits CSV, SVG, manifest.
+Every cavity-tier point of ``sweep-eps`` and ``sweep-coop`` takes its
+parameters from :func:`physical_params` (the physical block with a/b,
+epsilon or the cooperativity Y replaced), and the cavity tiers take the
+qubit marginal of :func:`converged_steady_state`, one point at a time,
+recording in the point's manifest entry the Fock cutoff it accepted and
+that cutoff's top-photon population.
+
+The reduced tier takes the closed form in blocks of
+:data:`REDUCED_BLOCK` points, each block one array pass from the grid to
+its fidelities.  The block's a, b and epsilon are arrays
+(:class:`~casqed.reduced.MatchedDrives`, checked elementwise): without
+the physical block, a = (a/b) b and epsilon come straight from the grid;
+with it, they are recovered from each point's reduced parameters, and a
+point whose balance or parameters fail gets its own error there.  One
+numpy pass of :func:`~casqed.reduced.analytic_steady_state` gives the
+block's states, each bit for bit that of Python-float arithmetic on its
+drive alone: |a|^2 is ``np.hypot`` of the parts, squared, and
+sqrt(eps) conj(a) b is taken as explicit real products in Python's
+order, because ``np.abs`` on complex arrays and numpy's complex product
+round the last bit differently.  One stacked ``fef_fidelity`` gives the
+fidelities.  A block that raises is split in halves until each failing
+point stands alone with its own error.  The sweep formats each axis
+value once, not once per CSV row.  One writer emits CSV, SVG, manifest.
 
 Steady states of the cavity tiers come from a direct solve at each Fock
 cutoff (:func:`~casqed.dynamics.steady_state_nullspace`): GMRES on the
@@ -72,9 +84,11 @@ from .linalg import read_dm
 from .metrics import METRIC_COLUMNS, concurrence, fef_fidelity, output_flux, purity, vn_entropy
 from .reduced import (
     MatchedDrive,
+    MatchedDrives,
     analytic_steady_state,
     initial_ground_state,
     liouvillian_action,
+    matched_amplitudes,
     output_flux_operator as reduced_flux_operator,
 )
 from .svgplot import line_plot
@@ -117,13 +131,15 @@ class RunManifest:
             fh.write(json.dumps(vars(self)) + "\n")
 
 
-def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(s if isinstance(s, str) else fmt(s) for s in row))
-    lines.append("# manifest: manifest.json")
+def _csv_line(row) -> str:
+    """The CSV text of ``row``: strings as they are, numbers by :func:`fmt`."""
+    return ",".join([s if isinstance(s, str) else fmt(s) for s in row])
+
+
+def _write_csv(path, header, lines) -> None:
+    """Write the CSV text ``lines`` under ``header``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *lines, "# manifest: manifest.json"]) + "\n")
 
 
 def matched_drive(cfg: ExperimentConfig) -> MatchedDrive:
@@ -141,8 +157,7 @@ def check_params(cfg: ExperimentConfig) -> None:
     try:
         drive = matched_drive(cfg)
         drive.params(cfg.drive_kappa1, cfg.drive_kappa2)
-        for eps in cfg.sweep_epsilon:
-            replace(drive, epsilon=eps)
+        MatchedDrives(drive.a, drive.b, cfg.sweep_epsilon, drive.cross)
         if cfg.physical is not None or any(t != "reduced" for t in cfg.tiers):
             physical_params(cfg)
     except InvalidParams as exc:
@@ -290,7 +305,7 @@ def run_timeseries(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int =
         fids = []
         for t, state in zip(times, traj.states):
             metrics_row = metric_row(model, state)
-            rows.append([t, tier] + metrics_row)
+            rows.append(_csv_line([t, tier] + metrics_row))
             fids.append(metrics_row[0])
         series.append((tier, list(times), fids))
         points.append({"tier": tier, "converged": True, "n_times": len(times)})
@@ -340,20 +355,46 @@ def _steady_point(cfg: ExperimentConfig, tier: str, point: dict):
 def _reduced_block(cfg: ExperimentConfig, points: list) -> list:
     """[(fidelity, None) or (nan, error)] of reduced-tier sweep points.
 
+    Without the physical block the drives come straight from the grid:
+    a = (a/b) b, epsilon.  With it each point's drive is recovered from its
+    reduced parameters, and a point whose balance or parameters fail gets
+    its own error.  The drives then take one array pass (:func:`_closed_form`).
+    """
+    if cfg.physical is None:
+        ratios = np.array([p["a_over_b"] for p in points], dtype=float)
+        eps = np.array([p["epsilon"] for p in points], dtype=float)
+        return _closed_form(ratios * cfg.b, np.full(len(points), cfg.b), eps, cfg.cross)
+    a, b, eps, failed = [], [], [], {}
+    for i, point in enumerate(points):
+        try:
+            params = reduced_params(physical_params(cfg, **point))
+            amplitudes = matched_amplitudes(params)
+        except CasqedError as exc:
+            failed[i] = _failed(exc)
+            continue
+        a.append(amplitudes[0])
+        b.append(amplitudes[1])
+        eps.append(params.epsilon)
+    solved = iter(_closed_form(np.array(a), np.array(b), np.array(eps), False) if eps else [])
+    return [failed[i] if i in failed else next(solved) for i in range(len(points))]
+
+
+def _closed_form(a, b, eps, cross: bool) -> list:
+    """[(fidelity, None) or (nan, error)] of the drives (a[i], b[i], eps[i]).
+
     One array pass takes the closed form and the fully entangled fraction
-    of every point.  A block that raises (a degenerate point, an infeasible
-    balance, a failed gate) is split in halves until each failing point
-    stands alone and gets its own error: O(log n) array passes per failing
-    point.
+    of every drive.  Drives that raise (an invalid or degenerate drive, a
+    failed gate) are split in halves until each failing drive stands alone
+    and gets its own error: O(log n) array passes per failing drive.
     """
     try:
-        states = analytic_steady_state([_point_model(cfg, "reduced", p) for p in points])
+        states = analytic_steady_state(MatchedDrives(a, b, eps, cross))
         return [(fid, None) for fid in fef_fidelity(states).tolist()]
     except CasqedError as exc:
-        if len(points) == 1:
+        if len(eps) == 1:
             return [_failed(exc)]
-        half = len(points) // 2
-        return _reduced_block(cfg, points[:half]) + _reduced_block(cfg, points[half:])
+        h = len(eps) // 2
+        return _closed_form(a[:h], b[:h], eps[:h], cross) + _closed_form(a[h:], b[h:], eps[h:], cross)
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, points, rows, plot):
@@ -361,9 +402,10 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
 
     ``points`` (see :func:`_point_model`) become the manifest's points and
     gain ``converged``, then ``error`` where they failed, or on the cavity
-    tiers ``cutoff`` and ``top_fock``; each of ``rows`` gains its point's
-    fidelity.  ``plot(path, fidelities)`` draws the SVG.  Raises
-    :class:`CasqedError` when a point failed.
+    tiers ``cutoff`` and ``top_fock``.  ``rows`` holds each point's CSV
+    fields before its fidelity, as text (:func:`_csv_line`).
+    ``plot(path, fidelities)`` draws the SVG.  Raises :class:`CasqedError`
+    when a point failed.
     """
     t_start = time.perf_counter()
     if len(cfg.tiers) != 1:   # the CSV has no tier column
@@ -385,16 +427,16 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
         results = _run_points(partial(_steady_point, cfg, tier), points, workers)
 
     failed = 0
-    for point, row, (fid, err, *fields) in zip(points, rows, results):
-        row.append(fid)
+    for point, (_, err, *fields) in zip(points, results):
         point["converged"] = err is None
         point.update(*fields)
         if err:
             point["error"] = err
             failed += 1
+    fids = [result[0] for result in results]
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / f"{name}.csv", header, rows)
-    plot(out_dir / f"{name}.svg", [fid for fid, *_ in results])
+    _write_csv(out_dir / f"{name}.csv", header, [f"{row},{fmt(fid)}" for row, fid in zip(rows, fids)])
+    plot(out_dir / f"{name}.svg", fids)
     RunManifest(cfg.sha256, __version__, seed, time.perf_counter() - t_start, points).write(
         out_dir / "manifest.json"
     )
@@ -407,7 +449,8 @@ def run_sweep_eps(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int = 
     """Steady-state fidelity on the (a/b, epsilon) grid."""
     ratios, eps_axis = cfg.sweep_a_over_b, cfg.sweep_epsilon
     points = [{"a_over_b": r, "epsilon": e} for r in ratios for e in eps_axis]
-    rows = [[r, e] for r in ratios for e in eps_axis]
+    eps_fields = [fmt(e) for e in eps_axis]
+    rows = [f"{r},{e}" for r in map(fmt, ratios) for e in eps_fields]
 
     def plot(path, fids):
         # one fidelity-vs-ratio line per (subsampled) epsilon
@@ -429,7 +472,7 @@ def run_sweep_coop(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int =
     """
     phys = cfg.require_physical()
     points = [{"Y": Y} for Y in cfg.sweep_Y]
-    rows = [[phys["a_over_b"], phys["epsilon"], Y, _coop_g(phys, Y)] for Y in cfg.sweep_Y]
+    rows = [_csv_line([phys["a_over_b"], phys["epsilon"], Y, _coop_g(phys, Y)]) for Y in cfg.sweep_Y]
 
     def plot(path, fids):
         line_plot(path, [(f"a/b={phys['a_over_b']:g}, eps={phys['epsilon']:g}", cfg.sweep_Y, fids)],
@@ -460,7 +503,14 @@ def _run_points(fn, tasks, workers: int):
 # ---------------------------------------------------------------------------
 
 def run_steady(cfg: ExperimentConfig, out=print):
-    """Print the closed-form and null-space steady states and their distance."""
+    """Print the closed-form and null-space steady states and their distance.
+
+    Both are states of the reduced tier, so a config whose ``model.tier``
+    is anything but ``reduced`` is a :class:`ConfigError`.
+    """
+    if list(cfg.tiers) != ["reduced"]:
+        raise ConfigError(f"steady solves the reduced tier only, model.tier lists {', '.join(cfg.tiers)}",
+                          key="model.tier")
     m = matched_drive(cfg)
     analytic = analytic_steady_state(m)
     numeric = steady_state_nullspace(

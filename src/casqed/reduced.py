@@ -49,8 +49,9 @@ _IDX_11, _IDX_10, _IDX_01, _IDX_00 = 0, 1, 2, 3
 def finite_abs2(name: str, z) -> float:
     """|z|^2 of the amplitude ``name``; :class:`InvalidParams` when it is
     not a finite float.  Squared by ``*``, which overflows to inf where
-    Python's float ``**`` raises OverflowError."""
-    r = math.hypot(z.real, z.imag)
+    Python's float ``**`` raises OverflowError.  ``abs`` of a complex is
+    the C library's hypot, as in :func:`_abs2`."""
+    r = abs(complex(z))
     if not math.isfinite(r * r):
         raise InvalidParams(f"{name} = {z:g}: its squared modulus is not a finite float")
     return r * r
@@ -89,6 +90,34 @@ class ReducedParams:
         )
 
 
+def _check_drives(a, b, epsilon) -> None:
+    """Raise :class:`InvalidParams` unless every drive (a[i], b[i],
+    epsilon[i]) of the 1-d arrays is valid: |a|^2 and |b|^2 finite floats
+    (squared by ``*``, which overflows to inf), |a|^2 + |b|^2 > 0 and
+    epsilon in [0, 1].  The message names the first drive that fails, and
+    in it the first check that fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _abs2(a.real, a.imag), _abs2(b.real, b.imag)
+    # "not": a NaN fails every check
+    bad = ~(np.isfinite(x) & np.isfinite(y) & (x + y > 0.0) & (0.0 <= epsilon) & (epsilon <= 1.0))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    finite_abs2("a", a[i])
+    finite_abs2("b", b[i])
+    if not x[i] + y[i] > 0.0:
+        raise InvalidParams("need |a|^2 + |b|^2 > 0")
+    raise InvalidParams(f"epsilon must lie in [0, 1], got {epsilon[i]}")
+
+
+def _abs2(re, im) -> np.ndarray:
+    """|re + i im|^2 with the bits of Python's ``abs(z) * abs(z)``:
+    ``np.hypot`` is the C library's hypot, which ``abs`` of a complex calls,
+    while ``np.abs`` on a complex array may round the last bit differently."""
+    r = np.hypot(re, im)
+    return r * r
+
+
 @dataclass(frozen=True)
 class MatchedDrive:
     """Matched driving: beta_r_i = a sqrt(kappa_i), beta_s_i = b sqrt(kappa_i).
@@ -104,10 +133,7 @@ class MatchedDrive:
     cross: bool = False
 
     def __post_init__(self):
-        if finite_abs2("a", self.a) + finite_abs2("b", self.b) <= 0.0:
-            raise InvalidParams("need |a|^2 + |b|^2 > 0")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise InvalidParams(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        _check_drives(np.asarray([self.a]), np.asarray([self.b]), np.asarray([self.epsilon]))
 
     def params(self, kappa1: float = 1.0, kappa2: float = 1.0) -> ReducedParams:
         r2, s2 = (self.b, self.a) if self.cross else (self.a, self.b)
@@ -123,14 +149,48 @@ class MatchedDrive:
 
     @classmethod
     def from_params(cls, p: ReducedParams) -> "MatchedDrive":
-        """The standard matched drive behind ``p`` (inverse of :meth:`params`);
-        raises :class:`InvalidParams` if atom 2's beta/sqrt(kappa) differ."""
-        a, b = p.beta_r1 / np.sqrt(p.kappa1), p.beta_s1 / np.sqrt(p.kappa1)
-        a2, b2 = p.beta_r2 / np.sqrt(p.kappa2), p.beta_s2 / np.sqrt(p.kappa2)
-        if abs(a2 - a) + abs(b2 - b) > 1e-12 * (abs(a) + abs(b)):
-            raise InvalidParams("the closed form needs a matched drive, beta_i proportional to sqrt(kappa_i); "
-                                f"got beta/sqrt(kappa) = {a:.6g}, {b:.6g} and {a2:.6g}, {b2:.6g}")
-        return cls(a, b, p.epsilon)
+        """The standard matched drive behind ``p`` (inverse of :meth:`params`)."""
+        return cls(*matched_amplitudes(p), p.epsilon)
+
+
+def matched_amplitudes(p: ReducedParams):
+    """(a, b) of the standard matched drive behind ``p``; raises
+    :class:`InvalidParams` if atom 2's beta/sqrt(kappa) differ."""
+    a, b = p.beta_r1 / np.sqrt(p.kappa1), p.beta_s1 / np.sqrt(p.kappa1)
+    a2, b2 = p.beta_r2 / np.sqrt(p.kappa2), p.beta_s2 / np.sqrt(p.kappa2)
+    if abs(a2 - a) + abs(b2 - b) > 1e-12 * (abs(a) + abs(b)):
+        raise InvalidParams("the closed form needs a matched drive, beta_i proportional to sqrt(kappa_i); "
+                            f"got beta/sqrt(kappa) = {a:.6g}, {b:.6g} and {a2:.6g}, {b2:.6g}")
+    return a, b
+
+
+class MatchedDrives:
+    """n matched drives as arrays: drive i is
+    ``MatchedDrive(a[i], b[i], epsilon[i], cross[i])``.
+
+    The arguments are broadcast to one 1-d length and checked elementwise
+    on construction; the first invalid drive raises the error its
+    :class:`MatchedDrive` would.  ``len`` is n.
+    """
+
+    def __init__(self, a, b, epsilon, cross=False):
+        a, b, epsilon, cross = np.broadcast_arrays(
+            np.atleast_1d(a), np.atleast_1d(b), np.atleast_1d(np.asarray(epsilon, dtype=float)),
+            np.atleast_1d(np.asarray(cross, dtype=bool)))
+        _check_drives(a, b, epsilon)
+        self.a, self.b, self.epsilon, self.cross = a, b, epsilon, cross
+
+    @classmethod
+    def of(cls, drives) -> "MatchedDrives":
+        """The drives of a sequence of :class:`MatchedDrive`."""
+        drives = list(drives)
+        return cls(np.array([complex(d.a) for d in drives], dtype=complex),
+                   np.array([complex(d.b) for d in drives], dtype=complex),
+                   np.array([d.epsilon for d in drives], dtype=float),
+                   np.array([d.cross for d in drives], dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.a)
 
 
 def jump_operators(p: ReducedParams):
@@ -140,26 +200,26 @@ def jump_operators(p: ReducedParams):
     return embed_at(r1, 0, TWO_QUBITS).toarray(), embed_at(r2, 1, TWO_QUBITS).toarray()
 
 
-def _scaled(a: complex, b: complex):
-    """(a, b), or, when max(|a|, |b|) lies outside [2^-128, 2^128] and
-    |a|^6 could leave the float range, (a, b) times the power of two that
-    brings it into [1/2, 1).  Drives inside are left as they are, which
-    saves the pass but changes no bit: the squares and cubes are products,
-    in which a power of two is exact.
+def _scaled(re_a, im_a, re_b, im_b):
+    """The parts of (a, b), times the power of two that brings
+    m = max(|a|, |b|) into [1/2, 1) where m lies outside [2^-128, 2^128]
+    and |a|^6 could leave the float range.  Drives inside are multiplied
+    by 1.0, which changes no bit; a power of two is exact in the products
+    the closed form takes, so the rescale changes no bit inside either.
     """
-    m = max(abs(a), abs(b))
-    if 2.0**-128 <= m <= 2.0**128:
-        return a, b
-    s = 2.0 ** -math.frexp(m)[1]
-    return a * s, b * s
+    m = np.maximum(np.hypot(re_a, im_a), np.hypot(re_b, im_b))
+    outside = (m < 2.0**-128) | (m > 2.0**128)
+    s = np.where(outside, np.ldexp(1.0, -np.frexp(m)[1]), 1.0)
+    return re_a * s, im_a * s, re_b * s, im_b * s
 
 
 def analytic_steady_state(m) -> np.ndarray:
     """Closed-form steady state of the matched-drive cascaded model.
 
     ``m`` is one :class:`MatchedDrive`, for which a (4, 4) state is
-    returned, or a sequence of them, for which an (n, 4, 4) stack is
-    returned with the state of ``m[i]`` at index i.  One array pass
+    returned, or n drives -- a :class:`MatchedDrives` or a sequence of
+    :class:`MatchedDrive` -- for which an (n, 4, 4) stack is returned with
+    the state of drive i at index i.  One numpy pass over the drive arrays
     evaluates the formula for every drive; one drive is the case n = 1.
 
     Returned in the basis {|1 1>, |1 0>, |0 1>, |0 0>}; only the
@@ -171,29 +231,41 @@ def analytic_steady_state(m) -> np.ndarray:
     With ``cross=True`` atom 2's jump operator is X R_2 X (X swaps |0>
     and |1>), so the generator and its steady state are those of the
     standard drive conjugated by X on qubit 2.
+
+    Bits: each state is, bit for bit, that of Python-float arithmetic on
+    its drive alone (``analytic_reference`` in ``tests/oracles.py``), so
+    it depends neither on the block a drive is in nor on the CPU's SIMD
+    width.  |a|^2 is ``np.hypot`` of the parts, squared: hypot is the C
+    library's, which Python's ``abs(complex)`` calls, while ``np.abs`` on
+    complex arrays rounds the last bit differently in over a third of
+    random cases.  sqrt(eps) conj(a) b is written as real products in the
+    order Python evaluates it, (sqrt(eps) conj(a)) b, for numpy's complex
+    product (SIMD, fused multiply-adds) rounds differently in over a third
+    of cases too.  Powers are products: ``**`` calls the C library's pow,
+    which is not correctly rounded.  The power-of-two rescale of drives
+    far from 1 is taken with ``np.frexp``, as the reference takes it.
     """
-    drives = [m] if isinstance(m, MatchedDrive) else list(m)
-    eps = np.array([d.epsilon for d in drives], dtype=float)
+    if isinstance(m, MatchedDrive):
+        drives = MatchedDrives(m.a, m.b, m.epsilon, m.cross)
+    else:
+        drives = m if isinstance(m, MatchedDrives) else MatchedDrives.of(m)
+    eps = drives.epsilon
     # the formula is homogeneous in (a, b): it depends on a/b only
-    scaled = [_scaled(complex(d.a), complex(d.b)) for d in drives]
-    # |a|^2, |b|^2, their cubes and sqrt(eps) a* b are taken per drive in
-    # Python floats: numpy's SIMD complex abs, cube and complex product may
-    # round the last bit differently, and differently from CPU to CPU.  The
-    # powers are products: ** calls the C library's pow, which is not
-    # correctly rounded, so its last bit depends on the libm
-    xs = [abs(a) * abs(a) for a, _ in scaled]
-    ys = [abs(b) * abs(b) for _, b in scaled]
-    x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
-    x3 = np.array([v * v * v for v in xs], dtype=float)
-    y3 = np.array([v * v * v for v in ys], dtype=float)
-    ab = np.array([math.sqrt(d.epsilon) * a.conjugate() * b for d, (a, b) in zip(drives, scaled)],
-                  dtype=complex)
+    ar, ai, br, bi = _scaled(drives.a.real, drives.a.imag, drives.b.real, drives.b.imag)
+    x, y = _abs2(ar, ai), _abs2(br, bi)
+    x3, y3 = x * x * x, y * y * y
+    se = np.sqrt(eps)
+    tr, ti = se * ar, se * -ai          # sqrt(eps) conj(a)
+    ab = np.empty(len(drives), dtype=complex)
+    ab.real = tr * br - ti * bi         # ... times b
+    ab.imag = tr * bi + ti * br
     denom = (x * x + y * y + 2.0 * (1.0 + 2.0 * eps - 4.0 * eps * eps) * x * y) * (x + y)
     degenerate = np.flatnonzero(np.abs(denom) <= 1e-12 * (x + y) ** 3)
     if degenerate.size:
-        d = drives[degenerate[0]]
+        i = degenerate[0]
         raise DegenerateParams(
-            f"steady state is degenerate at |a|={abs(d.a):g}, |b|={abs(d.b):g}, eps={d.epsilon:g}"
+            f"steady state is degenerate at |a|={np.hypot(drives.a.real[i], drives.a.imag[i]):g}, "
+            f"|b|={np.hypot(drives.b.real[i], drives.b.imag[i]):g}, eps={eps[i]:g}"
         )
     rho = np.zeros((len(drives), 4, 4), dtype=complex)
     rho[:, _IDX_11, _IDX_11] = (y3 + (1 + eps - 4 * eps * eps) * x * y * y + eps * y * x * x) / denom
@@ -201,15 +273,14 @@ def analytic_steady_state(m) -> np.ndarray:
     rho[:, _IDX_01, _IDX_01] = x * y * (1 - eps) * (y + (1 + 4 * eps) * x) / denom
     rho[:, _IDX_00, _IDX_00] = (x3 + eps * x * y * y + (1 + eps - 4 * eps * eps) * y * x * x) / denom
     r14 = ab * (x * x + (2 - 4 * eps) * x * y + y * y) / denom
-    r23 = 2.0 * np.sqrt(eps) * (1 - eps) * x * y * (x + y) / denom
+    r23 = 2.0 * se * (1 - eps) * x * y * (x + y) / denom
     rho[:, _IDX_11, _IDX_00] = r14
     rho[:, _IDX_00, _IDX_11] = np.conj(r14)
     rho[:, _IDX_10, _IDX_01] = r23
     rho[:, _IDX_01, _IDX_10] = np.conj(r23)
-    cross = np.array([d.cross for d in drives], dtype=bool)
-    if cross.any():
+    if drives.cross.any():
         flip = [_IDX_10, _IDX_11, _IDX_00, _IDX_01]
-        rho[cross] = rho[cross][:, flip][:, :, flip]
+        rho[drives.cross] = rho[drives.cross][:, flip][:, :, flip]
     return rho[0] if isinstance(m, MatchedDrive) else rho
 
 

@@ -10,7 +10,10 @@ with what is here:
   :func:`casqed.reduced.liouvillian_action`;
 * :func:`liouvillian_matrix` -- that generator as a dense 16 x 16 matrix
   on column-stacked states (:func:`vec_stack`), for eigenvalues and
-  ``expm`` references.
+  ``expm`` references;
+* :func:`analytic_reference` -- the closed-form steady state taken drive
+  by drive in Python floats, the bit reference of the array pass
+  :func:`casqed.reduced.analytic_steady_state`.
 
 If an oracle and the package ever disagree beyond tolerance, trust the
 oracle and investigate; do not patch either one.
@@ -18,9 +21,11 @@ oracle and investigate; do not patch either one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from casqed.errors import DimensionMismatch
+from casqed.errors import DegenerateParams, DimensionMismatch
 from casqed.linalg import asmatrix, dagger, hermitian_eigen
 from casqed.metrics import _validated
 from casqed.reduced import ReducedParams, jump_operators, liouvillian_action
@@ -122,3 +127,62 @@ def vec_stack(rho: np.ndarray) -> np.ndarray:
 def liouvillian_matrix(p: ReducedParams) -> np.ndarray:
     """The 16x16 superoperator L with unvec(L @ vec(rho)) == liouvillian_apply."""
     return liouvillian_action(p).meta["sparse_superop"].toarray()
+
+
+# ---------------------------------------------------------------------------
+# the closed form, drive by drive
+# ---------------------------------------------------------------------------
+
+
+def _scaled(a: complex, b: complex):
+    """(a, b), or, when max(|a|, |b|) lies outside [2^-128, 2^128],
+    (a, b) times the power of two that brings it into [1/2, 1)."""
+    m = max(abs(a), abs(b))
+    if 2.0**-128 <= m <= 2.0**128:
+        return a, b
+    s = 2.0 ** -math.frexp(m)[1]
+    return a * s, b * s
+
+
+def analytic_reference(drives) -> np.ndarray:
+    """(n, 4, 4) closed-form steady states of a sequence of matched drives.
+
+    |a|^2, |b|^2, their cubes and sqrt(eps) a* b are taken per drive in
+    Python floats (``abs`` of a complex is the C library's hypot; powers
+    are products), the rest elementwise on float arrays, where every
+    operation is one IEEE rounding.  Raises :class:`DegenerateParams`
+    naming the first drive at which the denominator vanishes.
+    """
+    drives = list(drives)
+    eps = np.array([d.epsilon for d in drives], dtype=float)
+    scaled = [_scaled(complex(d.a), complex(d.b)) for d in drives]
+    xs = [abs(a) * abs(a) for a, _ in scaled]
+    ys = [abs(b) * abs(b) for _, b in scaled]
+    x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    x3 = np.array([v * v * v for v in xs], dtype=float)
+    y3 = np.array([v * v * v for v in ys], dtype=float)
+    ab = np.array([math.sqrt(d.epsilon) * a.conjugate() * b for d, (a, b) in zip(drives, scaled)],
+                  dtype=complex)
+    denom = (x * x + y * y + 2.0 * (1.0 + 2.0 * eps - 4.0 * eps * eps) * x * y) * (x + y)
+    degenerate = np.flatnonzero(np.abs(denom) <= 1e-12 * (x + y) ** 3)
+    if degenerate.size:
+        d = drives[degenerate[0]]
+        raise DegenerateParams(
+            f"steady state is degenerate at |a|={abs(d.a):g}, |b|={abs(d.b):g}, eps={d.epsilon:g}"
+        )
+    rho = np.zeros((len(drives), 4, 4), dtype=complex)
+    rho[:, 0, 0] = (y3 + (1 + eps - 4 * eps * eps) * x * y * y + eps * y * x * x) / denom
+    rho[:, 1, 1] = x * y * (1 - eps) * (x + (1 + 4 * eps) * y) / denom
+    rho[:, 2, 2] = x * y * (1 - eps) * (y + (1 + 4 * eps) * x) / denom
+    rho[:, 3, 3] = (x3 + eps * x * y * y + (1 + eps - 4 * eps * eps) * y * x * x) / denom
+    r14 = ab * (x * x + (2 - 4 * eps) * x * y + y * y) / denom
+    r23 = 2.0 * np.sqrt(eps) * (1 - eps) * x * y * (x + y) / denom
+    rho[:, 0, 3] = r14
+    rho[:, 3, 0] = np.conj(r14)
+    rho[:, 1, 2] = r23
+    rho[:, 2, 1] = np.conj(r23)
+    cross = np.array([d.cross for d in drives], dtype=bool)
+    if cross.any():
+        flip = [1, 0, 3, 2]   # X on qubit 2: |1 1> <-> |1 0>, |0 1> <-> |0 0>
+        rho[cross] = rho[cross][:, flip][:, :, flip]
+    return rho

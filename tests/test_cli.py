@@ -354,6 +354,22 @@ def test_steady_prints_a_small_frobenius_difference(tmp_path, capsys):
     assert float(last.split(": ")[1]) <= 1e-12
 
 
+@pytest.mark.parametrize("tiers", ["effective", "full", "reduced,effective"])
+def test_steady_of_another_tier_exits_2_with_one_line(tmp_path, capsys, tiers):
+    # steady compares the reduced closed form with the reduced null space;
+    # a config naming another tier would print a state it did not ask for
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_key(FIG3, "model.tier", tiers))
+    assert cli.main(["steady", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "model.tier" in err[0]
+    # the physical block itself is fine for the reduced tier
+    cfg.write_text(with_key(FIG3, "model.tier", "reduced"))
+    assert cli.main(["steady", "--config", str(cfg)]) == 0
+
+
 def test_metrics_prints_the_metrics_of_a_stored_state(tmp_path, capsys):
     rho = analytic_steady_state(MatchedDrive(2.0, 1.0, 0.98))
     path = tmp_path / "state.dm"

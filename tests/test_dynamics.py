@@ -178,6 +178,14 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(action, np.eye(4, dtype=complex) / 4, [1.0, 0.0])  # descending
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan], [0.0, np.inf]])
+    def test_rejects_non_finite_times(self, times):
+        # a NaN compares false with everything, so "no descending step" held
+        # for [0, nan], and rho0 came back labelled t = nan
+        action = liouvillian_action(MatchedDrive(2.0, 1.0, 0.98).params())
+        with pytest.raises(IntegrationError, match="finite"):
+            integrate(action, initial_ground_state(), times)
+
 
 class TestSteadyStateNullspace:
     def test_matches_analytic(self):

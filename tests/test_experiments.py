@@ -25,7 +25,8 @@ from casqed.experiments import (
     run_sweep_eps,
 )
 from casqed.metrics import fef_fidelity
-from casqed.reduced import analytic_steady_state
+from casqed.reduced import MatchedDrive, analytic_steady_state
+from oracles import analytic_reference
 
 FIG3 = """\
 model.tier = effective
@@ -194,6 +195,26 @@ class TestReducedBlocks:
         assert [i for i, (_, e) in enumerate(block) if e] == [700]
         assert block[700][1].startswith("DegenerateParams")
         assert all(np.isfinite(f) for i, (f, _) in enumerate(block) if i != 700)
+
+
+def test_reduced_block_matches_the_drive_by_drive_reference():
+    # a bare grid block with a complex drive.b, cross drives and the
+    # degenerate a/b = 1, eps = 1 inside: each fidelity is that of the
+    # Python-float reference state, bit for bit, and the degenerate point
+    # gets the reference's own error
+    cfg = config("model.tier = reduced\ndrive.b = 0.6-0.8j\ndrive.cross = true\n"
+                 "sweep.a_over_b = 0.25:4:0.25\nsweep.epsilon = 0:1:0.125\n")
+    points = [{"a_over_b": r, "epsilon": e} for r in cfg.sweep_a_over_b for e in cfg.sweep_epsilon]
+    drives = [MatchedDrive(p["a_over_b"] * cfg.b, cfg.b, p["epsilon"], cross=True) for p in points]
+    block = experiments._reduced_block(cfg, points)
+    bad = [i for i, (_, e) in enumerate(block) if e]
+    assert [(points[i]["a_over_b"], points[i]["epsilon"]) for i in bad] == [(1.0, 1.0)]
+    with pytest.raises(CasqedError) as ref:
+        analytic_reference([drives[bad[0]]])
+    assert block[bad[0]][1] == f"DegenerateParams: {ref.value}"
+    rest = [d for i, d in enumerate(drives) if i != bad[0]]
+    expected = fef_fidelity(analytic_reference(rest)).tolist()
+    assert [repr(f) for i, (f, _) in enumerate(block) if i != bad[0]] == [repr(f) for f in expected]
 
 
 def test_pool_gets_no_more_workers_than_tasks(monkeypatch):

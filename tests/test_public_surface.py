@@ -4,7 +4,8 @@ import casqed
 from casqed import linalg, metrics, reduced
 
 #: test oracles, stated once in tests/oracles.py and not in the package
-ORACLES = ("fef_oracle", "liouvillian_apply", "liouvillian_matrix", "_dissipator", "vec_stack")
+ORACLES = ("fef_oracle", "liouvillian_apply", "liouvillian_matrix", "_dissipator", "vec_stack",
+           "analytic_reference")
 
 
 @pytest.mark.parametrize("name", casqed.__all__)

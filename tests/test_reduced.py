@@ -10,6 +10,7 @@ from casqed.reduced import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     MatchedDrive,
+    MatchedDrives,
     ReducedParams,
     analytic_steady_state,
     bell_states,
@@ -20,7 +21,7 @@ from casqed.reduced import (
     liouvillian_action,
     output_flux_operator,
 )
-from oracles import liouvillian_apply, liouvillian_matrix, vec_stack
+from oracles import analytic_reference, liouvillian_apply, liouvillian_matrix, vec_stack
 
 I2 = np.eye(2, dtype=complex)
 
@@ -210,6 +211,111 @@ class TestAnalyticSteadyState:
         structural_zeros = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
         for i, j in structural_zeros:
             assert abs(rho[i, j]) <= 1e-14
+
+
+def bits(rho):
+    """The float bits of a state or stack, a zero of either sign read as +0:
+    Python's mixed float-complex arithmetic signs its zeros differently
+    from one version to the next."""
+    return (np.asarray(rho) + 0.0).view(np.uint64)
+
+
+def random_drives(rng, n, log10_scale=3.0):
+    scale = 10.0 ** rng.uniform(-log10_scale, log10_scale, size=(2, n))
+    a = (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale[0]
+    b = (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale[1]
+    eps = rng.uniform(0.0, 1.0, size=n)
+    eps[::7], eps[3::11] = 0.0, 1.0
+    return a, b, eps
+
+
+class TestArrayPassBits:
+    """The array pass against the drive-by-drive Python-float reference."""
+
+    def assert_same_bits(self, drives):
+        stack = analytic_steady_state(drives)
+        assert np.array_equal(bits(stack), bits(analytic_reference(drives)))
+        return stack
+
+    @pytest.mark.parametrize("cross", [False, True, "mixed"])
+    def test_seeded_random_complex_drives(self, cross):
+        rng = np.random.default_rng(1901)
+        a, b, eps = random_drives(rng, 3000)
+        flags = rng.random(3000) < 0.5 if cross == "mixed" else np.full(3000, cross)
+        self.assert_same_bits([MatchedDrive(*d) for d in zip(a, b, eps, flags)])
+
+    def test_real_drive_arrays(self):
+        # the physical block hands the pass float arrays
+        rng = np.random.default_rng(1902)
+        a, b, eps = random_drives(rng, 2000)
+        a, b = a.real, -b.real
+        stack = analytic_steady_state(MatchedDrives(a, b, eps))
+        ref = analytic_reference([MatchedDrive(*d) for d in zip(a, b, eps)])
+        assert np.array_equal(bits(stack), bits(ref))
+
+    def test_grid_drives(self):
+        # the bare sweep's a = (a/b) b with a complex b, as arrays and one by one
+        ratios = np.repeat(np.linspace(0.3, 7.0, 60), 5)
+        eps = np.tile([0.0, 0.25, 0.7, 0.98, 1.0], 60)
+        b = 0.6 - 1.3j
+        stack = analytic_steady_state(MatchedDrives(ratios * b, b, eps, True))
+        ref = analytic_reference([MatchedDrive(r * b, b, e, True) for r, e in zip(ratios, eps)])
+        assert np.array_equal(bits(stack), bits(ref))
+
+    def test_rescale_edges(self):
+        # max(|a|, |b|) at, just inside and just outside 2^-128 and 2^128,
+        # and far beyond, where the power-of-two rescale is or is not taken
+        drives = []
+        for edge in (2.0**-128, 2.0**128):
+            for m in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf),
+                      edge * 2.0**-40, edge * 2.0**40):
+                for ratio in (1.0 / 3.0, 3.0, 0.7j):
+                    for eps in (0.0, 0.55, 1.0):
+                        drives.append(MatchedDrive(m, m * ratio, eps))
+                        drives.append(MatchedDrive(m * ratio * (0.6 + 0.8j), -m, eps, cross=True))
+        for m in (1e-150, 1e150, 2.0**500, 2.0**-500):
+            drives += [MatchedDrive(m, 2.5 * m, 0.9), MatchedDrive(2j * m, m, 0.0), MatchedDrive(m, 0.0, 1.0)]
+        self.assert_same_bits(drives)
+
+    def test_epsilon_zero_and_one(self):
+        rng = np.random.default_rng(1903)
+        a, b, _ = random_drives(rng, 500)
+        for eps in (0.0, 1.0):
+            self.assert_same_bits([MatchedDrive(x, y, eps) for x, y in zip(a, b)])
+
+    def test_degenerate_drive_in_a_block_gets_its_own_error(self):
+        rng = np.random.default_rng(1904)
+        a, b, eps = random_drives(rng, 64)
+        drives = [MatchedDrive(*d) for d in zip(a, b, eps)]
+        drives[40] = MatchedDrive(0.8 - 0.6j, 1.0, 1.0)   # |a|/|b| = 1 at eps = 1
+        with pytest.raises(DegenerateParams) as ref:
+            analytic_reference(drives)
+        with pytest.raises(DegenerateParams) as got:
+            analytic_steady_state(MatchedDrives.of(drives))
+        assert str(got.value) == str(ref.value)
+        with pytest.raises(DegenerateParams) as alone:
+            analytic_steady_state(drives[40])
+        assert str(alone.value) == str(ref.value)
+        rest = drives[:40] + drives[41:]
+        assert np.array_equal(bits(analytic_steady_state(rest)), bits(analytic_reference(rest)))
+
+
+class TestMatchedDrives:
+    def test_invalid_drive_raises_its_own_error(self):
+        # elementwise checks name the first failing drive as MatchedDrive would
+        for a, b, eps in [(2e200, 1.0, 0.5), (1.0, 1e200j, 0.5), (0.0, 0.0, 0.5), (1.0, 1.0, np.nan),
+                          (1.0, 1.0, 1.5)]:
+            with pytest.raises(InvalidParams) as alone:
+                MatchedDrive(a, b, eps)
+            with pytest.raises(InvalidParams) as stacked:
+                MatchedDrives([1.0, a, 3e200], [2.0, b, 1.0], [0.3, eps, 0.3])
+            assert str(stacked.value) == str(alone.value)
+
+    def test_scalars_broadcast_over_the_drives(self):
+        drives = MatchedDrives(np.arange(1.0, 6.0), 1.0, 0.5, cross=True)
+        assert len(drives) == 5
+        assert np.array_equal(analytic_steady_state(drives)[3],
+                              analytic_steady_state(MatchedDrive(4.0, 1.0, 0.5, cross=True)))
 
 
 class TestStationarityOracle:
