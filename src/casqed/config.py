@@ -220,7 +220,7 @@ def validate_config(raw: dict, text: str = "") -> ExperimentConfig:
     raw = dict(raw)
     block = any(k.name in raw for k in KEYS if k.name.startswith("physical."))
     # keys that set a value another key sets too
-    drive = [k for k in ("drive.a", "drive.a_over_b", "drive.epsilon") if k in raw]
+    drive = [k for k in ("drive.a", "drive.a_over_b", "drive.epsilon", "drive.cross") if k in raw]
     if block and drive:
         raise ConfigError(f"{drive[0]} conflicts with the physical block, which sets it", key=drive[0])
     if "drive.a" in raw and "drive.a_over_b" in raw:

@@ -66,7 +66,9 @@ right-preconditioned by the inverse of the shifted no-jump part: a
 Sylvester equation per parity block, solved by Bartels-Stewart with one
 Schur form per block and a recursive blocked triangular solve
 (:class:`ShiftedNoJumpInverse`).  Two probes, one per sector, check that
-no other eigenvalue sits at zero.  Long-time relaxation remains as an
+no other eigenvalue sits at zero; a caller that solves several generators
+for one answer probes only the one it keeps (see
+:func:`steady_state_nullspace`).  Long-time relaxation remains as an
 independent check.
 
 The spectral gap is not computed: the probes detect a second zero
@@ -738,7 +740,15 @@ _SYLVESTER_SHIFT = 1e-3
 #: larger ones are split (measured: even at 100, 1.6x faster at 200, 2x at 313)
 _SYLVESTER_LEAF = 64
 #: GMRES stops at ||b - B x|| <= rtol ||b||: _GMRES_RTOL for the state,
-#: _PROBE_RTOL for the probes, which only need the size of their solution
+#: _PROBE_RTOL for the probes, which only need the size of their solution.
+#: A probe is sure to see a near-null direction u of L only when its
+#: right-hand side has |<u, r>| > rtol ||r||; below that GMRES may stop
+#: without resolving u.  For a random r that component is about
+#: ||r|| / sqrt(n), and a sector holds n = 648 (effective, cutoff 2) to
+#: about 80,000 (full, cutoff 3) coordinates: 1/sqrt(n) is 3.5e-3 at full
+#: cutoff 3, so 1e-2 is unsound, and the margin of 1e-6 shrinks as sqrt(n)
+#: with the space (a Gaussian component falls below it with a chance of
+#: about 0.8 rtol sqrt(n), 2e-4 at full cutoff 3)
 _GMRES_RTOL = 1e-13
 _PROBE_RTOL = 1e-6
 #: a state GMRES did not bring to _GMRES_RTOL is still accepted when its
@@ -944,7 +954,8 @@ class _BorderedSectors:
         return float(np.linalg.norm(x)) * self.scale, info
 
 
-def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
+def steady_state_nullspace(liouvillian: LiouvillianAction,
+                           keep: Callable[[np.ndarray], bool] | None = None) -> np.ndarray | None:
     """Unique trace-one state in the generator's null space.
 
     Solves (L + w tr) rho = w, w = (rate_scale / d) I, from the no-jump
@@ -971,6 +982,12 @@ def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
     without a declared parity is all even, with an empty odd sector and no
     odd probe.  The state is hermitian by construction and returned
     normalised.
+
+    ``keep``, when given, sees the solved state before the probes, and a
+    state it rejects is dropped unprobed: the call returns None.  So every
+    state returned has been probed, and a caller that solves several
+    generators for one answer, as the Fock-cutoff escalation does, probes
+    only the one it keeps, on the same Schur forms as its solve.
     """
     d = liouvillian.dim
     sectors = _BorderedSectors(liouvillian)
@@ -991,6 +1008,9 @@ def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
             f"the steady-state solve overflowed: trace {trace:g} at rate_scale "
             f"{liouvillian.rate_scale:.3g}"
         )
+    rho = liouvillian.coordinates.vec(rho / trace).reshape((d, d), order="F")
+    if keep is not None and not keep(rho):
+        return None
     for sector in SECTOR_BLOCKS:
         growth, info = sectors.probe(sector)
         if info != 0 or growth > _PROBE_LIMIT:
@@ -999,7 +1019,7 @@ def steady_state_nullspace(liouvillian: LiouvillianAction) -> np.ndarray:
                 f"(probe of the {sector} sector ||L^-1 r|| rate_scale / ||r|| = {growth:.1e}"
                 + (", no convergence)" if info else ")")
             )
-    return liouvillian.coordinates.vec(rho / trace).reshape((d, d), order="F")
+    return rho
 
 
 def steady_state_longtime(

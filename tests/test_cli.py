@@ -94,6 +94,7 @@ def test_bad_value_fails_at_load(tmp_path, text):
     pytest.param(FIG3 + "drive.a = 3\n", id="a-and-physical"),
     pytest.param(FIG3 + "drive.a_over_b = 3\n", id="a_over_b-and-physical"),
     pytest.param(FIG3 + "drive.epsilon = 0.9\n", id="epsilon-and-physical"),
+    pytest.param(FIG3 + "drive.cross = true\n", id="cross-and-physical"),
     # integer values that are not integral
     pytest.param(FIG3 + "model.fock_cutoff = 2.5\n", id="fractional-fock_cutoff"),
     pytest.param(REDUCED + "time.n_points = 7.9\n", id="fractional-n_points"),
@@ -268,6 +269,19 @@ def test_failed_point_reads_nan_and_exits_1(tmp_path, capsys):
     bad, good = json.loads((tmp_path / "out" / "manifest.json").read_text())["points"]
     assert bad["converged"] is False and bad["error"].startswith("DegenerateParams: ")
     assert good == {"a_over_b": 2.0, "epsilon": 1.0, "converged": True}
+
+
+def test_matched_cavity_point_fails_as_degenerate_and_exits_1(tmp_path, capsys):
+    # a/b = 1 in the effective tier: the steady state is not unique, and the
+    # probe of the cutoff the escalation accepts says so; a/b = 2 converges
+    text = with_key(with_key(FIG3, "sweep.a_over_b", "1,2"), "sweep.epsilon", "0.98")
+    assert run(tmp_path, text) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: 1 sweep point(s) failed; see manifest"]
+    rows = (tmp_path / "out" / "sweep_eps.csv").read_text().splitlines()[1:-1]
+    assert rows[0] == "1.0,0.98,nan"
+    bad, good = json.loads((tmp_path / "out" / "manifest.json").read_text())["points"]
+    assert bad["converged"] is False and bad["error"].startswith("DegenerateSteadyState: ")
+    assert good["converged"] is True and good["a_over_b"] == 2
 
 
 # 61 ratios x 31 epsilons: two blocks of the default size; the degenerate

@@ -80,3 +80,27 @@ def test_range_values_are_lo_plus_i_step(lo, step, n, frac):
     values = parse_value(f"{lo!r}:{lo + (n - 1 + frac) * step!r}:{step!r}")
     assert values == [lo + i * step for i in range(len(values))]
     assert all(type(v) is float for v in values)
+
+
+FIG3_BLOCK = """\
+physical.g_2pi_MHz = 110
+physical.kappa1_2pi_MHz = 14.2
+physical.gamma_2pi_MHz = 5.2
+physical.Delta_2pi_MHz = 8000
+physical.Omega_s_2pi_MHz = 100
+physical.a_over_b = 2
+physical.epsilon = 0.98
+"""
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_cross_drive_conflicts_with_the_physical_block(value):
+    # the physical block fixes the drive, and every command that reads it
+    # rebuilds the drive from reduced_params, which has no cross: next to
+    # the block the key would be read by steady alone, ignored by the sweeps
+    text = FIG3_BLOCK + f"drive.cross = {value}\n"
+    with pytest.raises(ConfigError, match="drive.cross conflicts with the physical block") as info:
+        validate_config(parse_config_text(text), text)
+    assert info.value.key == "drive.cross"
+    # without the block the key still selects the psi-sector drive
+    assert validate_config(parse_config_text(f"drive.cross = {value}\n")).cross is (value == "true")

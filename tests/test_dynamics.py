@@ -197,6 +197,19 @@ class TestSteadyStateNullspace:
         with pytest.raises(DegenerateSteadyState):
             steady_state_nullspace(liouvillian_action(MatchedDrive(1.0, 1.0, 1.0).params()))
 
+    def test_only_a_kept_state_is_probed_and_returned(self):
+        # a state keep rejects comes back as None, unprobed; one it keeps is
+        # probed, so a degenerate generator still raises
+        action = liouvillian_action(MatchedDrive(1.0, 1.0, 1.0).params())
+        seen = []
+        assert steady_state_nullspace(action, keep=lambda rho: seen.append(rho) or False) is None
+        assert len(seen) == 1 and seen[0].shape == (4, 4) and abs(np.trace(seen[0]) - 1.0) <= 1e-12
+        with pytest.raises(DegenerateSteadyState):
+            steady_state_nullspace(action, keep=lambda rho: True)
+        m = MatchedDrive(2.0, 1.0, 0.98)
+        kept = steady_state_nullspace(liouvillian_action(m.params()), keep=lambda rho: True)
+        assert np.array_equal(kept, steady_state_nullspace(liouvillian_action(m.params())))
+
     def test_overflow_raises(self):
         # the generator grows as b^2: at b = 1e80 the solve overflows, and
         # must raise rather than return a state of NaNs

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from casqed import experiments
+from casqed import dynamics, experiments
 from casqed.cavity import (
     ModelSpace,
     PhysicalParams,
@@ -14,7 +14,7 @@ from casqed.cavity import (
 )
 from casqed.config import parse_config_text, validate_config
 from casqed.dynamics import integrate, steady_state_nullspace
-from casqed.errors import CasqedError
+from casqed.errors import CasqedError, DegenerateSteadyState
 from casqed.experiments import (
     REDUCED_BLOCK,
     TIER_TOLS,
@@ -70,6 +70,37 @@ class TestConvergedSteadyState:
         assert cutoff == 4
         assert top_fock_population(rho, space) <= 1e-6
         assert abs(fef_fidelity(qubit_marginal(rho, space)) - 0.6237466624) <= 1e-9
+
+    def test_probes_only_the_accepted_cutoff(self, monkeypatch):
+        # a/b 4, eps 0.7 solves at cutoffs 2, 3 and 4 (d = 36, 64, 100): one
+        # probe per sector, both on the d = 100 generator and on the sectors
+        # (Schur forms) of its own solve
+        made, probed = [], []
+        init, probe = dynamics._BorderedSectors.__init__, dynamics._BorderedSectors.probe
+
+        def counted_init(self, liouvillian):
+            made.append(self)
+            init(self, liouvillian)
+
+        def counted_probe(self, sector):
+            probed.append((self, sector))
+            return probe(self, sector)
+
+        monkeypatch.setattr(dynamics._BorderedSectors, "__init__", counted_init)
+        monkeypatch.setattr(dynamics._BorderedSectors, "probe", counted_probe)
+        cfg = config(FIG3)
+        p = physical_params(cfg, a_over_b=4.0, epsilon=0.7)
+        assert converged_steady_state(p, "effective", cfg)[2] == 4
+        assert [sectors.dim for sectors in made] == [36, 64, 100]
+        assert probed == [(made[-1], "even"), (made[-1], "odd")]
+
+    def test_matched_drive_is_degenerate_at_the_accepted_cutoff(self):
+        # a/b = 1: no cutoff's state is unique; the escalation probes only
+        # the cutoff it accepts, and the probe there still flags it
+        cfg = config(FIG3)
+        p = physical_params(cfg, a_over_b=1.0, epsilon=0.98)
+        with pytest.raises(DegenerateSteadyState):
+            converged_steady_state(p, "effective", cfg)
 
     def test_manifest_records_the_accepted_cutoff(self, tmp_path):
         # each cavity-tier point names the cutoff it kept and that cutoff's
