@@ -49,6 +49,12 @@ and Omega_t is set so alpha_r - alpha_s - alpha_t equals
 (omega_Ls - omega_Lr)/2 - omega_1.  Both the differential light shift
 and the photon-dependent shift then cancel in the rotating frame.
 
+:meth:`PhysicalParams.symmetric` places the lasers at -/+ omega_1 about
+the cavity, and ``raman_resonant`` places them at omega_cav -/+ omega_1.
+Either way w_1 = omega_1, so delta_1 = 0 and the compensated target
+(omega_Ls - omega_Lr)/2 - omega_1 = 0 exactly: a balanced symmetric point
+gives the same generator at every omega_1, and the config has no key for it.
+
 Units: parameter fields hold ordinary frequencies in MHz (the numbers
 quoted as "2 pi x MHz"); generators multiply by 2 pi, so rates are
 rad/us and times are us.

@@ -105,8 +105,6 @@ class ExperimentConfig:
     a: complex
     b: complex
     epsilon: float
-    drive_kappa1: float
-    drive_kappa2: float
     cross: bool
     # physical description (cavity tiers, optional for reduced)
     physical: dict | None
@@ -117,12 +115,14 @@ class ExperimentConfig:
     n_points: int
     rel_tol: float | None   # None: per-tier defaults
     abs_tol: float | None
-    ss_tol: float
     # sweep axes
     sweep_a_over_b: list
     sweep_epsilon: list
     sweep_Y: list
     sha256: str = ""
+    # steady-state residual bound read only by perfbench/checks.py; no key
+    # sets it, and it goes with that check (ROADMAP item 2)
+    ss_tol: float = 1e-8
 
     def require_physical(self) -> dict:
         if self.physical is None:
@@ -192,8 +192,6 @@ KEYS = (
     Key("drive.a_over_b", "a_over_b", None, complex, "finite", "sets drive.a = a_over_b * drive.b"),
     Key("drive.epsilon", "epsilon", "1", float, "finite", "cavity coupling efficiency (reduced tier)"),
     Key("drive.cross", "cross", "false", _scalar, "true | false", "swap a, b on atom 2 (psi sector)"),
-    Key("drive.kappa1", "drive_kappa1", "1", float, "finite > 0", "cavity decays of a bare reduced run"),
-    Key("drive.kappa2", "drive_kappa2", "1", float, "finite > 0", "cavity decays of a bare reduced run"),
     Key("physical.g_2pi_MHz", "g", None, float, "finite", "atom-cavity coupling", True),
     Key("physical.kappa1_2pi_MHz", "kappa1", None, float, "finite", "cavity 1 decay", True),
     Key("physical.kappa2_2pi_MHz", "kappa2", None, float, "finite", "cavity 2 decay; default kappa1"),
@@ -202,13 +200,10 @@ KEYS = (
     Key("physical.Omega_s_2pi_MHz", "Omega_s", None, float, "finite", "Omega_r = a_over_b Omega_s", True),
     Key("physical.a_over_b", "a_over_b", None, float, "finite", "drive ratio", True),
     Key("physical.epsilon", "epsilon", None, float, "finite", "cavity coupling efficiency", True),
-    Key("physical.omega_1_2pi_MHz", "omega_1", "100", float, "finite", "qubit splitting"),
     Key("time.t_max_us", "t_max_us", "10", float, "finite > 0", "evolve: end time"),
     Key("time.n_points", "n_points", "101", _integral, "integer >= 2", "evolve: samples"),
     Key("solver.rel_tol", "rel_tol", None, float, "finite > 0", "evolve tolerance; default per tier"),
     Key("solver.abs_tol", "abs_tol", None, float, "finite > 0", "evolve tolerance; default per tier"),
-    Key("solver.ss_tol", "ss_tol", "1e-8", float, "finite > 0",
-        "read only by perfbench/checks.py; goes with ROADMAP item 1"),
     Key("sweep.a_over_b", "sweep_a_over_b", "1.1:4.0:0.1", _list(float), "finite", "sweep-eps axis"),
     Key("sweep.epsilon", "sweep_epsilon", "0.7:1.0:0.01", _list(float), "finite", "sweep-eps axis"),
     Key("sweep.Y", "sweep_Y", "log:1:300:30", _list(float), "finite", "sweep-coop axis"),

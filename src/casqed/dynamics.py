@@ -98,8 +98,8 @@ from .linalg import dagger, unvec
 
 #: state dimension up to which perfbench/checks.py, its only reader, bounds
 #: an effective-sweep point by a null-space target rather than by the
-#: ``solver.ss_tol`` residual; both go when that check is rederived from
-#: the bordered residual (see ROADMAP.md)
+#: ``ExperimentConfig.ss_tol`` residual; both go when that check is rederived
+#: from the bordered residual (see ROADMAP.md)
 NULLSPACE_DIM_LIMIT = 64
 
 #: accepted plus rejected steps after which :func:`integrate` gives up

@@ -99,10 +99,8 @@ from .reduced import (
 )
 from .svgplot import line_plot
 
-#: default (rel_tol, abs_tol) per tier.  The full tier's were set for the
-#: explicit Dormand-Prince integrator used before the Krylov steps: at
-#: abs_tol 1e-3 it returned matrices that are not states (||rho||_F 5.9, an
-#: eigenvalue of -3.7).  At these tolerances the samples stay states (see
+#: default (rel_tol, abs_tol) per tier.  Looser tolerances return matrices
+#: that are not states; at these the samples stay states (see
 #: TestTierTolerances in tests/test_experiments.py)
 TIER_TOLS = {
     "reduced": (1e-8, 1e-12),
@@ -162,7 +160,6 @@ def check_params(cfg: ExperimentConfig) -> None:
     """
     try:
         drive = matched_drive(cfg)
-        drive.params(cfg.drive_kappa1, cfg.drive_kappa2)
         MatchedDrives(drive.a, drive.b, cfg.sweep_epsilon, drive.cross)
         if cfg.physical is not None or any(t != "reduced" for t in cfg.tiers):
             physical_params(cfg)
@@ -201,7 +198,6 @@ def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None, Y=None) 
         Omega_r=a_over_b * phys["Omega_s"] * scale,
         Omega_s=phys["Omega_s"] * scale,
         epsilon=epsilon,
-        omega_1=phys["omega_1"],
     )
     if phys["kappa2"] != phys["kappa1"]:
         p = replace(p, kappa2=phys["kappa2"])
@@ -241,7 +237,7 @@ def build_tier(cfg: ExperimentConfig, tier: str) -> TierModel:
         if cfg.physical is not None:
             params = reduced_params(physical_params(cfg))
         else:
-            params = matched_drive(cfg).params(cfg.drive_kappa1, cfg.drive_kappa2)
+            params = matched_drive(cfg).params()
         return TierModel(
             tier=tier,
             action=liouvillian_action(params),
@@ -525,9 +521,7 @@ def run_steady(cfg: ExperimentConfig, out=print):
                           key="model.tier")
     m = matched_drive(cfg)
     analytic = analytic_steady_state(m)
-    numeric = steady_state_nullspace(
-        liouvillian_action(m.params(cfg.drive_kappa1, cfg.drive_kappa2))
-    )
+    numeric = steady_state_nullspace(liouvillian_action(m.params()))
     diff = float(np.linalg.norm(analytic - numeric))
     out(f"matched drive: a={m.a:g}, b={m.b:g}, epsilon={m.epsilon:g}")
     out("analytic steady state:")

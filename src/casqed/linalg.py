@@ -156,9 +156,9 @@ def hermitian_eigen(a: np.ndarray):
 
 
 def eigvalsh_min(a: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of a hermitian matrix, or of each matrix of a
-    stack (k, n, n) (validity-gate helper)."""
-    return np.linalg.eigvalsh((a + dagger(a)) / 2.0)[..., 0]
+    """Smallest eigenvalue of an exactly hermitian matrix, or of each matrix
+    of a stack (k, n, n) (validity-gate helper; the caller symmetrizes)."""
+    return np.linalg.eigvalsh(a)[..., 0]
 
 
 # ---------------------------------------------------------------------------

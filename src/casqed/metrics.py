@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDensityMatrix
-from .linalg import dagger, eigvalsh_min, hermitian_eigen
+from .linalg import dagger, eigvalsh_min
 
 #: CSV column names, in output order.
 METRIC_COLUMNS = ("fidelity", "concurrence", "entropy_bits", "purity", "flux_per_us")
@@ -51,9 +51,10 @@ _NEG_TOL = 1e-7
 def _validated(rho, dim=None, stack=False) -> np.ndarray:
     """``rho`` made exactly hermitian, after the density-matrix gate.
 
-    With ``stack=True`` ``rho`` may also be a stack (k, n, n); the gate
-    then checks each matrix as if alone and raises the message of the
-    first one that fails.
+    It is symmetrized once, here: the gate's eigenvalues and the callers'
+    ``np.linalg.eigh`` take it as it is.  With ``stack=True`` ``rho`` may
+    also be a stack (k, n, n); the gate then checks each matrix as if alone
+    and raises the message of the first one that fails.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in ((2, 3) if stack else (2,)) or rho.shape[-1] != rho.shape[-2]:
@@ -67,13 +68,14 @@ def _validated(rho, dim=None, stack=False) -> np.ndarray:
     bad = bad_trace | ~(np.abs(mats - dagger(mats)).max(axis=(-2, -1)) <= _HERM_TOL)
     # the eigenvalues of the matrices before the first that fails either check
     n_ok = int(np.argmax(bad)) if bad.any() else len(mats)
-    if np.any(eigvalsh_min(mats[:n_ok]) < -_NEG_TOL):
+    herm = (mats[:n_ok] + dagger(mats[:n_ok])) / 2.0
+    if np.any(eigvalsh_min(herm) < -_NEG_TOL):
         raise InvalidDensityMatrix("matrix has an eigenvalue below the positivity gate")
     if n_ok < len(mats):
         if bad_trace[n_ok]:
             raise InvalidDensityMatrix(f"trace {trace[n_ok]} is not 1 within {_TRACE_TOL}")
         raise InvalidDensityMatrix("matrix is not hermitian within tolerance")
-    return (rho + dagger(rho)) / 2.0
+    return herm.reshape(rho.shape)
 
 
 def fef_fidelity(rho):
@@ -88,7 +90,7 @@ def fef_fidelity(rho):
     rho = _validated(rho, dim=4, stack=True)
     m = dagger(MAGIC_BASIS) @ rho @ MAGIC_BASIS
     re = (m + np.swapaxes(m, -1, -2)).real / 2.0  # m is hermitian, so Re(m) is symmetric
-    w, _ = hermitian_eigen(re.astype(complex))
+    w, _ = np.linalg.eigh(re.astype(complex))
     return float(w[-1]) if w.ndim == 1 else w[:, -1]
 
 
@@ -102,7 +104,7 @@ def concurrence(rho) -> float:
     noisy near-zero eigenvalues).
     """
     rho = _validated(rho, dim=4)
-    w, v = hermitian_eigen(rho)
+    w, v = np.linalg.eigh(rho)
     sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
     lam = np.linalg.svd(sqrt_rho @ _SYSY @ np.conj(sqrt_rho), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
@@ -111,7 +113,7 @@ def concurrence(rho) -> float:
 def vn_entropy(rho) -> float:
     """Von Neumann entropy in bits (0 log 0 = 0); any dimension."""
     rho = _validated(rho)
-    w, _ = hermitian_eigen(rho)
+    w, _ = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log2(nz)) + 0.0)

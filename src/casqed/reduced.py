@@ -122,6 +122,10 @@ def _abs2(re, im) -> np.ndarray:
 class MatchedDrive:
     """Matched driving: beta_r_i = a sqrt(kappa_i), beta_s_i = b sqrt(kappa_i).
 
+    The jump operators R_i = (beta_r_i sigma- + beta_s_i sigma+) / sqrt(kappa_i)
+    = a sigma- + b sigma+ then hold no kappa, so neither does the master
+    equation: :meth:`params` sets kappa_1 = kappa_2 = 1.
+
     With ``cross=True`` the roles of a and b are swapped on atom 2,
     which steers the steady state toward the psi Bell sector instead of
     the phi sector.
@@ -135,17 +139,9 @@ class MatchedDrive:
     def __post_init__(self):
         _check_drives(np.asarray([self.a]), np.asarray([self.b]), np.asarray([self.epsilon]))
 
-    def params(self, kappa1: float = 1.0, kappa2: float = 1.0) -> ReducedParams:
+    def params(self) -> ReducedParams:
         r2, s2 = (self.b, self.a) if self.cross else (self.a, self.b)
-        return ReducedParams(
-            beta_r1=self.a * np.sqrt(kappa1),
-            beta_s1=self.b * np.sqrt(kappa1),
-            beta_r2=r2 * np.sqrt(kappa2),
-            beta_s2=s2 * np.sqrt(kappa2),
-            kappa1=kappa1,
-            kappa2=kappa2,
-            epsilon=self.epsilon,
-        )
+        return ReducedParams(self.a, self.b, r2, s2, epsilon=self.epsilon)
 
     @classmethod
     def from_params(cls, p: ReducedParams) -> "MatchedDrive":

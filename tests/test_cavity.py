@@ -623,6 +623,27 @@ def test_non_finite_frame_frequency_is_invalid(levels):
             build(replace(fig3_like(), **{name: np.inf}), ModelSpace(levels, 1))
 
 
+@pytest.mark.parametrize("mode", ["compensated", "raman_resonant"])
+def test_generators_do_not_depend_on_omega_1(mode):
+    # symmetric() places the lasers at -/+ omega_1, so delta_1 = 0 and the
+    # balance target is 0 exactly: the generators have the same bits at any
+    # qubit splitting
+    def actions(omega_1):
+        p = stark_balance(PhysicalParams.symmetric(
+            g=110, kappa=14.2, gamma=5.2, Delta=8000, Omega_r=200.0, Omega_s=100.0,
+            epsilon=0.98, omega_1=omega_1), mode)
+        return (build_effective_liouvillian(p, ModelSpace(2, 2)),
+                build_full_liouvillian(p, ModelSpace(5, 1)))
+
+    ref = actions(100.0)
+    for omega_1 in (37.0, 2500.0):
+        for act, act_ref in zip(actions(omega_1), ref):
+            assert act.meta["no_jump"].tobytes() == act_ref.meta["no_jump"].tobytes()
+            assert len(act.meta["blocks"]) == len(act_ref.meta["blocks"])
+            for block, block_ref in zip(act.meta["blocks"], act_ref.meta["blocks"]):
+                _assert_same_bits(block, block_ref)
+
+
 class TestEffectiveModel:
     def test_unbalanced_rejected(self):
         p = PhysicalParams.symmetric(

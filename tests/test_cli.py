@@ -80,6 +80,11 @@ def test_bad_value_fails_at_load(tmp_path, text):
     pytest.param(REDUCED.replace("reduced", "effective"), id="cavity-tier-without-physical"),
     pytest.param(with_key(REDUCED_COOP, "physical.kappa2_2pi_MHz", 28.4), id="unmatched-closed-form"),
     pytest.param(with_key(FIG3, "solver.max_time_us", 10), id="removed-key"),
+    # keys that changed no output
+    pytest.param(REDUCED + "drive.kappa1 = 2\n", id="removed-key-drive.kappa1"),
+    pytest.param(REDUCED + "drive.kappa2 = 3\n", id="removed-key-drive.kappa2"),
+    pytest.param(FIG3 + "physical.omega_1_2pi_MHz = 250\n", id="removed-key-omega_1"),
+    pytest.param(REDUCED + "solver.ss_tol = 1e-9\n", id="removed-key-solver.ss_tol"),
     *NEVER_FINISH,
     pytest.param(with_key(FIG3, "physical.g_2pi_MHz", "nan"), id="nan-coupling"),
     pytest.param(with_key(FIG3, "physical.Omega_s_2pi_MHz", "nan"), id="nan-Omega_s"),

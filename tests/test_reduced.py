@@ -87,6 +87,20 @@ class TestJumpOperators:
         r1, _ = jump_operators(p)
         assert_allclose(r1, np.kron(SIGMA_MINUS, I2))
 
+    def test_matched_generator_holds_no_kappa(self):
+        # beta_i = (a, b) sqrt(kappa_i) leaves R_i = a sigma- + b sigma+, so the
+        # generator at kappa = (4, 9) is the one MatchedDrive.params() builds
+        # at kappa = 1 (a, b are small integers, so every division is exact)
+        a, b, eps = 2.0, 1.0, 0.98
+        p = ReducedParams(beta_r1=2 * a, beta_s1=2 * b, beta_r2=3 * a, beta_s2=3 * b,
+                          kappa1=4.0, kappa2=9.0, epsilon=eps)
+        got = liouvillian_action(p).meta["blocks"]
+        ref = liouvillian_action(MatchedDrive(a, b, eps).params()).meta["blocks"]
+        assert len(got) == len(ref)
+        for x, y in zip(got, ref):
+            for u, v in ((x.indptr, y.indptr), (x.indices, y.indices), (x.data, y.data)):
+                assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
+
 
 class TestLiouvillianApply:
     def test_analytic_state_is_stationary(self):
