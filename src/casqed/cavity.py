@@ -53,7 +53,8 @@ and the photon-dependent shift then cancel in the rotating frame.
 the cavity, and ``raman_resonant`` places them at omega_cav -/+ omega_1.
 Either way w_1 = omega_1, so delta_1 = 0 and the compensated target
 (omega_Ls - omega_Lr)/2 - omega_1 = 0 exactly: a balanced symmetric point
-gives the same generator at every omega_1, and the config has no key for it.
+gives the same generator at every omega_1, so neither the config nor
+:meth:`PhysicalParams.symmetric` takes it as a parameter.
 
 Units: parameter fields hold ordinary frequencies in MHz (the numbers
 quoted as "2 pi x MHz"); generators multiply by 2 pi, so rates are
@@ -143,13 +144,13 @@ class PhysicalParams:
         Omega_r: complex,
         Omega_s: complex,
         epsilon: float,
-        omega_1: float = 100.0,
     ) -> "PhysicalParams":
         """Single (g, kappa, gamma, Delta) set, equal for both atoms.
 
-        Lasers start on two-photon resonance around omega_cav = 0 and
-        Omega_t is 0; run :func:`stark_balance` afterwards to fix Omega_t
-        (and, in compensated mode, the cavity frequency).
+        The qubit splitting omega_1 is 100 MHz, which no generator depends
+        on (module docstring).  Lasers start on two-photon resonance around
+        omega_cav = 0 and Omega_t is 0; run :func:`stark_balance` afterwards
+        to fix Omega_t (and, in compensated mode, the cavity frequency).
         """
         return cls(
             g_r=g, g_s=g, kappa1=kappa, kappa2=kappa,
@@ -157,8 +158,8 @@ class PhysicalParams:
             Delta_r=Delta, Delta_s=Delta, Delta_t=Delta,
             Omega_r1=Omega_r, Omega_s1=Omega_s, Omega_t1=0.0,
             Omega_r2=Omega_r, Omega_s2=Omega_s, Omega_t2=0.0,
-            omega_1=omega_1, omega_cav=0.0,
-            omega_Lr=-omega_1, omega_Ls=+omega_1,
+            omega_1=100.0, omega_cav=0.0,
+            omega_Lr=-100.0, omega_Ls=100.0,
             epsilon=epsilon,
         )
 
@@ -209,15 +210,16 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
 
 
 def reduced_params(p: PhysicalParams) -> ReducedParams:
-    """Bridge to the two-qubit model, in angular units (rad/us)."""
+    """Bridge to the two-qubit model: the jump amplitudes
+    r_i = 2 pi beta_r_i / sqrt(2 pi kappa_i), s_i = 2 pi beta_s_i / sqrt(2 pi kappa_i)
+    in sqrt(rad/us), so that |r_i|^2 and |s_i|^2 are rates in rad/us."""
     d = derive_params(p)
+    k1, k2 = np.sqrt(TWO_PI * p.kappa1), np.sqrt(TWO_PI * p.kappa2)
     return ReducedParams(
-        beta_r1=TWO_PI * d.beta_r[0],
-        beta_s1=TWO_PI * d.beta_s[0],
-        beta_r2=TWO_PI * d.beta_r[1],
-        beta_s2=TWO_PI * d.beta_s[1],
-        kappa1=TWO_PI * p.kappa1,
-        kappa2=TWO_PI * p.kappa2,
+        r1=TWO_PI * d.beta_r[0] / k1,
+        s1=TWO_PI * d.beta_s[0] / k1,
+        r2=TWO_PI * d.beta_r[1] / k2,
+        s2=TWO_PI * d.beta_s[1] / k2,
         epsilon=p.epsilon,
     )
 
@@ -419,6 +421,8 @@ def build_effective_liouvillian(p: PhysicalParams, space: ModelSpace) -> Liouvil
     if space.atom_levels != 2:
         raise DimensionMismatch("effective model runs on 2-level atoms")
     d = derive_params(p)
+    # delta_1 = omega_1 - (omega_Ls - omega_Lr)/2 cancels terms of size omega_1,
+    # so the residual carries their rounding
     scale = max(1.0, *(abs(x) for x in (d.alpha_r + d.alpha_s + d.alpha_t)), abs(p.omega_1))
     for i, r in enumerate(d.residuals):
         if abs(r) > _BALANCE_TOL * scale:

@@ -34,8 +34,8 @@ def _keys_help() -> str:
     """The config grammar and every key of :data:`casqed.config.KEYS`."""
     lines = ["config file grammar: one `key = value` per line, `#` comments, dotted keys.", "",
              "keys (= default, accepted values, meaning). A list key takes one or more values.",
-             "A physical block needs its (required) keys, and sets drive.a and drive.epsilon:",
-             "drive.a, drive.a_over_b or drive.epsilon next to a physical.* key is an error."]
+             "A physical block needs its (required) keys and sets the reduced tier's drive:",
+             "every drive.* key next to a physical.* key is an error."]
     for key in KEYS:
         shown = f"  {key.name}" + ("" if key.default is None else f" = {key.default}")
         required = "(required) " if key.required else ""
@@ -54,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="experiment config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest")

@@ -101,7 +101,7 @@ class ExperimentConfig:
 
     experiment: str | None
     tiers: list
-    # matched-drive description (reduced tier)
+    # matched-drive description (reduced tier without the physical block)
     a: complex
     b: complex
     epsilon: float
@@ -214,10 +214,11 @@ def validate_config(raw: dict, text: str = "") -> ExperimentConfig:
     """The config of a raw key -> value mapping, read through :data:`KEYS`."""
     raw = dict(raw)
     block = any(k.name in raw for k in KEYS if k.name.startswith("physical."))
-    # keys that set a value another key sets too
-    drive = [k for k in ("drive.a", "drive.a_over_b", "drive.epsilon", "drive.cross") if k in raw]
+    # the physical block sets the reduced drive, so no drive.* key is read next to it
+    drive = [k.name for k in KEYS if k.name.startswith("drive.") and k.name in raw]
     if block and drive:
-        raise ConfigError(f"{drive[0]} conflicts with the physical block, which sets it", key=drive[0])
+        raise ConfigError(f"{drive[0]} conflicts with the physical block: no command reads it there",
+                          key=drive[0])
     if "drive.a" in raw and "drive.a_over_b" in raw:
         raise ConfigError("drive.a and drive.a_over_b both set drive.a; give one", key="drive.a_over_b")
 
@@ -238,11 +239,9 @@ def validate_config(raw: dict, text: str = "") -> ExperimentConfig:
 
     # the defaults that depend on other keys
     a_over_b, b = fields.pop("a_over_b"), fields["b"]
-    if physical:
-        if physical["kappa2"] is None:
-            physical["kappa2"] = physical["kappa1"]
-        fields.update(a=complex(physical["a_over_b"]) * b, epsilon=physical["epsilon"])
-    elif a_over_b is not None:
+    if physical and physical["kappa2"] is None:
+        physical["kappa2"] = physical["kappa1"]
+    if a_over_b is not None:
         fields["a"] = a_over_b * b
     elif fields["a"] is None:
         fields["a"] = 2.0 * b

@@ -25,8 +25,9 @@ The reduced tier takes the closed form in blocks of
 its fidelities.  The block's a, b and epsilon are arrays
 (:class:`~casqed.reduced.MatchedDrives`, checked elementwise): without
 the physical block, a = (a/b) b and epsilon come straight from the grid;
-with it, they are recovered from each point's reduced parameters, and a
-point whose balance or parameters fail gets its own error there.  One
+with it, each point's drive is its jump amplitudes from the bridge
+:func:`~casqed.cavity.reduced_params` (:func:`_point_model`), and a point
+whose balance or parameters fail gets its own error there.  One
 numpy pass of :func:`~casqed.reduced.analytic_steady_state` gives the
 block's states, each bit for bit that of Python-float arithmetic on its
 drive alone: |a|^2 is ``np.hypot`` of the parts, squared, and
@@ -146,10 +147,6 @@ def _write_csv(path, header, lines) -> None:
         fh.write("\n".join([",".join(header), *lines, "# manifest: manifest.json"]) + "\n")
 
 
-def matched_drive(cfg: ExperimentConfig) -> MatchedDrive:
-    return MatchedDrive(cfg.a, cfg.b, cfg.epsilon, cross=cfg.cross)
-
-
 def check_params(cfg: ExperimentConfig) -> None:
     """Run the models' own parameter checks on the configured point and
     on every value of the epsilon sweep axis.
@@ -159,8 +156,7 @@ def check_params(cfg: ExperimentConfig) -> None:
     or sweep point is run.
     """
     try:
-        drive = matched_drive(cfg)
-        MatchedDrives(drive.a, drive.b, cfg.sweep_epsilon, drive.cross)
+        MatchedDrives(cfg.a, cfg.b, [cfg.epsilon, *cfg.sweep_epsilon], cfg.cross)
         if cfg.physical is not None or any(t != "reduced" for t in cfg.tiers):
             physical_params(cfg)
     except InvalidParams as exc:
@@ -212,7 +208,6 @@ def _tier_tols(cfg: ExperimentConfig, tier: str):
 
 @dataclass
 class TierModel:
-    tier: str
     action: object
     rho0: np.ndarray
     flux_op: np.ndarray
@@ -234,12 +229,12 @@ def _cavity_model(tier: str):
 
 def build_tier(cfg: ExperimentConfig, tier: str) -> TierModel:
     if tier == "reduced":
+        # evolve integrates the exact generator, so the drive need not be matched
         if cfg.physical is not None:
             params = reduced_params(physical_params(cfg))
         else:
-            params = matched_drive(cfg).params()
+            params = _point_model(cfg, tier, {}).params()
         return TierModel(
-            tier=tier,
             action=liouvillian_action(params),
             rho0=initial_ground_state(),
             flux_op=reduced_flux_operator(params),
@@ -249,7 +244,6 @@ def build_tier(cfg: ExperimentConfig, tier: str) -> TierModel:
     levels, builder = _cavity_model(tier)
     space = ModelSpace(levels, cfg.fock_cutoff)
     return TierModel(
-        tier=tier,
         action=builder(p, space),
         rho0=vacuum_ground_state(space),
         flux_op=output_flux_operator(p, space),
@@ -335,13 +329,19 @@ def run_timeseries(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int =
 # ---------------------------------------------------------------------------
 
 def _point_model(cfg: ExperimentConfig, tier: str, point: dict):
-    """The closed-form drive (reduced tier) or the physical parameters of a
-    sweep point; ``point`` holds keyword arguments of :func:`physical_params`."""
+    """The physical parameters (cavity tiers) or the closed form's drive
+    (reduced tier) of one point of the config; ``point`` holds keyword
+    arguments of :func:`physical_params`, and ``{}`` is the configured point.
+    The drive comes from the bare ``drive.*`` keys, or from the physical
+    block through :func:`~casqed.cavity.reduced_params`, whose amplitudes
+    must be matched (:class:`InvalidParams` otherwise)."""
     if tier != "reduced":
         return physical_params(cfg, **point)
-    if cfg.physical is None:
-        return MatchedDrive(point["a_over_b"] * cfg.b, cfg.b, point["epsilon"], cross=cfg.cross)
-    return MatchedDrive.from_params(reduced_params(physical_params(cfg, **point)))
+    if cfg.physical is not None:
+        params = reduced_params(physical_params(cfg, **point))
+        return MatchedDrive(*matched_amplitudes(params), params.epsilon)
+    a = cfg.a if "a_over_b" not in point else point["a_over_b"] * cfg.b
+    return MatchedDrive(a, cfg.b, point.get("epsilon", cfg.epsilon), cross=cfg.cross)
 
 
 def _failed(exc: CasqedError):
@@ -364,8 +364,8 @@ def _reduced_block(cfg: ExperimentConfig, points: list) -> list:
     """[(fidelity, None) or (nan, error)] of reduced-tier sweep points.
 
     Without the physical block the drives come straight from the grid:
-    a = (a/b) b, epsilon.  With it each point's drive is recovered from its
-    reduced parameters, and a point whose balance or parameters fail gets
+    a = (a/b) b, epsilon.  With it each point's drive is that of
+    :func:`_point_model`, and a point whose balance or parameters fail gets
     its own error.  The drives then take one array pass (:func:`_closed_form`).
     """
     if cfg.physical is None:
@@ -375,14 +375,13 @@ def _reduced_block(cfg: ExperimentConfig, points: list) -> list:
     a, b, eps, failed = [], [], [], {}
     for i, point in enumerate(points):
         try:
-            params = reduced_params(physical_params(cfg, **point))
-            amplitudes = matched_amplitudes(params)
+            drive = _point_model(cfg, "reduced", point)
         except CasqedError as exc:
             failed[i] = _failed(exc)
             continue
-        a.append(amplitudes[0])
-        b.append(amplitudes[1])
-        eps.append(params.epsilon)
+        a.append(drive.a)
+        b.append(drive.b)
+        eps.append(drive.epsilon)
     solved = iter(_closed_form(np.array(a), np.array(b), np.array(eps), False) if eps else [])
     return [failed[i] if i in failed else next(solved) for i in range(len(points))]
 
@@ -513,13 +512,18 @@ def _run_points(fn, tasks, workers: int):
 def run_steady(cfg: ExperimentConfig, out=print):
     """Print the closed-form and null-space steady states and their distance.
 
-    Both are states of the reduced tier, so a config whose ``model.tier``
-    is anything but ``reduced`` is a :class:`ConfigError`.
+    Both are states of the reduced tier at the configured point's drive
+    (:func:`_point_model`), so a config whose ``model.tier`` is anything
+    but ``reduced``, or whose physical block gives an unmatched drive, is a
+    :class:`ConfigError`.
     """
     if list(cfg.tiers) != ["reduced"]:
         raise ConfigError(f"steady solves the reduced tier only, model.tier lists {', '.join(cfg.tiers)}",
                           key="model.tier")
-    m = matched_drive(cfg)
+    try:
+        m = _point_model(cfg, "reduced", {})
+    except InvalidParams as exc:
+        raise ConfigError(f"invalid model parameters: {exc}") from exc
     analytic = analytic_steady_state(m)
     numeric = steady_state_nullspace(liouvillian_action(m.params()))
     diff = float(np.linalg.norm(analytic - numeric))

@@ -136,21 +136,16 @@ def partial_trace(rho: np.ndarray, space: TensorSpace, keep) -> np.ndarray:
 def hermitian_eigen(a: np.ndarray):
     """Eigendecomposition of a hermitian matrix (checked to 1e-10 relative).
 
-    ``a`` may be a stack (k, n, n): each matrix is checked against its own
-    largest entry and decomposed as if alone.
-
     Returns
     -------
     (w, V) : eigenvalues ascending, eigenvectors as the columns of V,
         with ``a == V @ diag(w) @ V.conj().T`` and ``V.conj().T @ V == I``
-        to rounding; for a stack, w is (k, n) and V is (k, n, n).
+        to rounding.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim not in (2, 3):
-        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
-    if a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch("hermitian_eigen needs a square matrix")
-    if np.any(np.abs(a - dagger(a)).max(axis=(-2, -1)) > 1e-10 * np.abs(a).max(axis=(-2, -1))):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"hermitian_eigen needs a square matrix, got shape {a.shape}")
+    if np.abs(a - dagger(a)).max() > 1e-10 * np.abs(a).max():
         raise NonHermitianInput("input is not hermitian within 1e-10")
     return np.linalg.eigh((a + dagger(a)) / 2.0)
 

@@ -5,9 +5,10 @@ unidirectionally (atom 1's output drives atom 2).  After eliminating
 the cavity fields each atom is left with a single effective jump
 operator
 
-    R_i = (beta_r_i |0_i><1_i| + beta_s_i |1_i><0_i|) / sqrt(kappa_i),
+    R_i = r_i |0_i><1_i| + s_i |1_i><0_i| = r_i sigma- + s_i sigma+,
 
-and the density matrix evolves as
+with complex amplitudes r_i, s_i (:class:`ReducedParams`), and the
+density matrix evolves as
 
     drho/dt = sum_i D[R_i] rho
               - 2 sqrt(eps) ( [R_1 rho, R_2^+] + [R_2, rho R_1^+] ),
@@ -17,13 +18,16 @@ with the factor-2 dissipator convention
     D[c] rho = 2 c rho c+ - c+c rho - rho c+c.
 
 ``eps`` in [0, 1] is the intensity transmission between the cavities.
+The master equation holds the amplitudes alone: the cavity decay rates
+enter only through them (:func:`casqed.cavity.reduced_params`).
 
 Basis convention (used everywhere downstream): each qubit is ordered
 (|1>, |0>) and the joint basis is {|1 1>, |1 0>, |0 1>, |0 0>}.
 
-Units: rates are used exactly as given, so the time unit is the
-inverse of the rate unit.  The cavity-model bridge feeds angular rates
-in rad/us here, making trajectory times microseconds.
+Units: |r_i|^2 and |s_i|^2 are rates, used exactly as given, so the
+time unit is the inverse of the rate unit.  The cavity-model bridge
+feeds amplitudes in sqrt(rad/us) here, making trajectory times
+microseconds.
 """
 
 from __future__ import annotations
@@ -59,35 +63,29 @@ def finite_abs2(name: str, z) -> float:
 
 @dataclass(frozen=True)
 class ReducedParams:
-    """Raman rates and cavity decays of the two-qubit model.
+    """Jump amplitudes of the two-qubit model: R_i = r_i sigma- + s_i sigma+.
 
-    beta_* are complex Raman coupling rates, kappa_* the cavity field
-    decay rates (same rate unit), epsilon the coupling efficiency.
+    r_i and s_i are complex, in the square root of the rate unit;
+    epsilon is the coupling efficiency.
     """
 
-    beta_r1: complex
-    beta_s1: complex
-    beta_r2: complex
-    beta_s2: complex
-    kappa1: float = 1.0
-    kappa2: float = 1.0
+    r1: complex
+    s1: complex
+    r2: complex
+    s2: complex
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if not (self.kappa1 > 0 and self.kappa2 > 0):
-            raise InvalidParams("cavity decay rates must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
             raise InvalidParams(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        for name in ("beta_r1", "beta_s1", "beta_r2", "beta_s2"):
+        for name in ("r1", "s1", "r2", "s2"):
             finite_abs2(name, getattr(self, name))
 
     @property
     def rate_scale(self) -> float:
-        """Total effective pump rate sum_i |R_i|^2, used for tolerances."""
-        return float(
-            (abs(self.beta_r1) ** 2 + abs(self.beta_s1) ** 2) / self.kappa1
-            + (abs(self.beta_r2) ** 2 + abs(self.beta_s2) ** 2) / self.kappa2
-        )
+        """Total effective pump rate |r_1|^2 + |s_1|^2 + |r_2|^2 + |s_2|^2,
+        used for tolerances."""
+        return float(abs(self.r1) ** 2 + abs(self.s1) ** 2 + abs(self.r2) ** 2 + abs(self.s2) ** 2)
 
 
 def _check_drives(a, b, epsilon) -> None:
@@ -120,11 +118,7 @@ def _abs2(re, im) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatchedDrive:
-    """Matched driving: beta_r_i = a sqrt(kappa_i), beta_s_i = b sqrt(kappa_i).
-
-    The jump operators R_i = (beta_r_i sigma- + beta_s_i sigma+) / sqrt(kappa_i)
-    = a sigma- + b sigma+ then hold no kappa, so neither does the master
-    equation: :meth:`params` sets kappa_1 = kappa_2 = 1.
+    """Matched driving: both atoms have the jump amplitudes r_i = a, s_i = b.
 
     With ``cross=True`` the roles of a and b are swapped on atom 2,
     which steers the steady state toward the psi Bell sector instead of
@@ -143,20 +137,14 @@ class MatchedDrive:
         r2, s2 = (self.b, self.a) if self.cross else (self.a, self.b)
         return ReducedParams(self.a, self.b, r2, s2, epsilon=self.epsilon)
 
-    @classmethod
-    def from_params(cls, p: ReducedParams) -> "MatchedDrive":
-        """The standard matched drive behind ``p`` (inverse of :meth:`params`)."""
-        return cls(*matched_amplitudes(p), p.epsilon)
-
 
 def matched_amplitudes(p: ReducedParams):
-    """(a, b) of the standard matched drive behind ``p``; raises
-    :class:`InvalidParams` if atom 2's beta/sqrt(kappa) differ."""
-    a, b = p.beta_r1 / np.sqrt(p.kappa1), p.beta_s1 / np.sqrt(p.kappa1)
-    a2, b2 = p.beta_r2 / np.sqrt(p.kappa2), p.beta_s2 / np.sqrt(p.kappa2)
-    if abs(a2 - a) + abs(b2 - b) > 1e-12 * (abs(a) + abs(b)):
-        raise InvalidParams("the closed form needs a matched drive, beta_i proportional to sqrt(kappa_i); "
-                            f"got beta/sqrt(kappa) = {a:.6g}, {b:.6g} and {a2:.6g}, {b2:.6g}")
+    """(a, b) = (r_1, s_1) of the standard matched drive behind ``p``;
+    raises :class:`InvalidParams` if atom 2's amplitudes differ."""
+    a, b = p.r1, p.s1
+    if abs(p.r2 - a) + abs(p.s2 - b) > 1e-12 * (abs(a) + abs(b)):
+        raise InvalidParams("the closed form needs a matched drive, r_2 = r_1 and s_2 = s_1; "
+                            f"got r_1, s_1 = {a:.6g}, {b:.6g} and r_2, s_2 = {p.r2:.6g}, {p.s2:.6g}")
     return a, b
 
 
@@ -191,8 +179,8 @@ class MatchedDrives:
 
 def jump_operators(p: ReducedParams):
     """The two effective jump operators R_1, R_2 on the joint space."""
-    r1 = (p.beta_r1 * SIGMA_MINUS + p.beta_s1 * SIGMA_PLUS) / np.sqrt(p.kappa1)
-    r2 = (p.beta_r2 * SIGMA_MINUS + p.beta_s2 * SIGMA_PLUS) / np.sqrt(p.kappa2)
+    r1 = p.r1 * SIGMA_MINUS + p.s1 * SIGMA_PLUS
+    r2 = p.r2 * SIGMA_MINUS + p.s2 * SIGMA_PLUS
     return embed_at(r1, 0, TWO_QUBITS).toarray(), embed_at(r2, 1, TWO_QUBITS).toarray()
 
 

@@ -196,10 +196,15 @@ class TestDeriveParams:
             )
 
     def test_reduced_bridge_is_angular(self):
-        p = fig3_like()
+        # r_i = 2 pi beta_i / sqrt(2 pi kappa_i), in sqrt(rad/us): the bridge
+        # is the one place the cavity decay enters the two-qubit model, so
+        # kappa2 = 4 kappa1 halves atom 2's amplitudes (4 is a power of two,
+        # so bit for bit)
+        p = replace(fig3_like(), kappa2=4 * 14.2)
         rp = reduced_params(p)
-        assert abs(rp.kappa1 - 2 * np.pi * 14.2) < 1e-12
-        assert abs(rp.beta_s1 - 2 * np.pi * 0.6875) < 1e-12
+        assert rp.r1 == pytest.approx(2 * np.pi * 1.375 / np.sqrt(2 * np.pi * 14.2), rel=1e-12)
+        assert rp.s1 == pytest.approx(2 * np.pi * 0.6875 / np.sqrt(2 * np.pi * 14.2), rel=1e-12)
+        assert (rp.r2, rp.s2) == (rp.r1 / 2, rp.s1 / 2)
         assert rp.epsilon == 0.98
 
 
@@ -614,10 +619,11 @@ class TestSectorBlocks:
 def test_non_finite_frame_frequency_is_invalid(levels):
     # the rotating frame needs every frame frequency finite, in both tiers
     build = build_effective_liouvillian if levels == 2 else build_full_liouvillian
+    p = PhysicalParams.symmetric(g=110, kappa=14.2, gamma=5.2, Delta=8000, Omega_r=200.0,
+                                 Omega_s=100.0, epsilon=0.98)
     with pytest.raises(InvalidParams, match="omega_1"):
-        p = PhysicalParams.symmetric(g=110, kappa=14.2, gamma=5.2, Delta=8000, Omega_r=200.0,
-                                     Omega_s=100.0, epsilon=0.98, omega_1=np.nan)
-        build(stark_balance(p), ModelSpace(levels, 1))
+        frame = replace(p, omega_1=np.nan, omega_Lr=-np.nan, omega_Ls=np.nan)
+        build(stark_balance(frame), ModelSpace(levels, 1))
     for name in ("omega_cav", "omega_Lr", "omega_Ls"):
         with pytest.raises(InvalidParams, match=name):
             build(replace(fig3_like(), **{name: np.inf}), ModelSpace(levels, 1))
@@ -625,15 +631,16 @@ def test_non_finite_frame_frequency_is_invalid(levels):
 
 @pytest.mark.parametrize("mode", ["compensated", "raman_resonant"])
 def test_generators_do_not_depend_on_omega_1(mode):
-    # symmetric() places the lasers at -/+ omega_1, so delta_1 = 0 and the
-    # balance target is 0 exactly: the generators have the same bits at any
-    # qubit splitting
-    def actions(omega_1):
-        p = stark_balance(PhysicalParams.symmetric(
-            g=110, kappa=14.2, gamma=5.2, Delta=8000, Omega_r=200.0, Omega_s=100.0,
-            epsilon=0.98, omega_1=omega_1), mode)
-        return (build_effective_liouvillian(p, ModelSpace(2, 2)),
-                build_full_liouvillian(p, ModelSpace(5, 1)))
+    # lasers at -/+ omega_1 about the cavity, as symmetric() places them, give
+    # delta_1 = 0 and a balance target of 0 exactly: the generators have the
+    # same bits at any qubit splitting
+    p = PhysicalParams.symmetric(g=110, kappa=14.2, gamma=5.2, Delta=8000, Omega_r=200.0,
+                                 Omega_s=100.0, epsilon=0.98)
+
+    def actions(w):
+        balanced = stark_balance(replace(p, omega_1=w, omega_Lr=-w, omega_Ls=w), mode)
+        return (build_effective_liouvillian(balanced, ModelSpace(2, 2)),
+                build_full_liouvillian(balanced, ModelSpace(5, 1)))
 
     ref = actions(100.0)
     for omega_1 in (37.0, 2500.0):

@@ -8,6 +8,7 @@ import pytest
 from test_experiments import WEAK_FULL
 
 from casqed import cli, experiments
+from casqed.cavity import reduced_params
 from casqed.config import KEYS, load_config, parse_config_text, validate_config
 from casqed.errors import ConfigError
 from casqed.linalg import write_dm
@@ -97,6 +98,7 @@ def test_bad_value_fails_at_load(tmp_path, text):
     # two keys that set one value
     pytest.param(REDUCED + "drive.a = 3\ndrive.a_over_b = 2\n", id="a-and-a_over_b"),
     pytest.param(FIG3 + "drive.a = 3\n", id="a-and-physical"),
+    pytest.param(FIG3 + "drive.b = 3\n", id="b-and-physical"),
     pytest.param(FIG3 + "drive.a_over_b = 3\n", id="a_over_b-and-physical"),
     pytest.param(FIG3 + "drive.epsilon = 0.9\n", id="epsilon-and-physical"),
     pytest.param(FIG3 + "drive.cross = true\n", id="cross-and-physical"),
@@ -387,6 +389,40 @@ def test_steady_of_another_tier_exits_2_with_one_line(tmp_path, capsys, tiers):
     # the physical block itself is fine for the reduced tier
     cfg.write_text(with_key(FIG3, "model.tier", "reduced"))
     assert cli.main(["steady", "--config", str(cfg)]) == 0
+
+
+def test_steady_solves_the_drive_of_the_physical_block(tmp_path, capsys, monkeypatch):
+    # steady takes the bridge's jump amplitudes, the drive reduced sweep-eps
+    # solves at the configured a/b 2, epsilon 0.98 (FIG3's one sweep point)
+    text = with_key(FIG3, "model.tier", "reduced")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    states = []
+
+    def recorded(drive):
+        states.append(analytic_steady_state(drive))
+        return states[-1]
+
+    monkeypatch.setattr(experiments, "analytic_steady_state", recorded)
+    assert cli.main(["steady", "--config", str(cfg)]) == 0
+    monkeypatch.undo()
+    rp = reduced_params(experiments.physical_params(load_config(cfg)))
+    assert capsys.readouterr().out.splitlines()[0] == f"matched drive: a={rp.r1:g}, b={rp.s1:g}, epsilon=0.98"
+    assert run(tmp_path, text) == 0
+    fidelity = (tmp_path / "out" / "sweep_eps.csv").read_text().splitlines()[1].split(",")[-1]
+    assert len(states) == 1 and fidelity == repr(fef_fidelity(states[0]))
+
+
+def test_steady_of_an_unmatched_block_exits_2_with_one_line(tmp_path, capsys):
+    # kappa2 != kappa1 gives atom 2 other amplitudes than atom 1, and the
+    # closed form needs a matched drive: a config error, as in the sweeps
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_key(REDUCED_COOP, "physical.kappa2_2pi_MHz", 28.4))
+    assert cli.main(["steady", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
 
 
 def test_metrics_prints_the_metrics_of_a_stored_state(tmp_path, capsys):

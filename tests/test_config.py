@@ -97,7 +97,7 @@ physical.epsilon = 0.98
 def test_cross_drive_conflicts_with_the_physical_block(value):
     # the physical block fixes the drive, and every command that reads it
     # rebuilds the drive from reduced_params, which has no cross: next to
-    # the block the key would be read by steady alone, ignored by the sweeps
+    # the block no command would read the key
     text = FIG3_BLOCK + f"drive.cross = {value}\n"
     with pytest.raises(ConfigError, match="drive.cross conflicts with the physical block") as info:
         validate_config(parse_config_text(text), text)

@@ -226,6 +226,6 @@ class TestFluxAndReport:
     def test_report_columns(self):
         assert METRIC_COLUMNS == ("fidelity", "concurrence", "entropy_bits", "purity", "flux_per_us")
         # a two-qubit model with flux operator I/2: tr(I/4 I/2) = 0.5
-        model = TierModel("reduced", None, None, np.eye(4) / 2, None)
+        model = TierModel(None, None, np.eye(4) / 2, None)
         row = metric_row(model, np.eye(4) / 4)
         assert_allclose(row, [0.25, 0.0, 2.0, 0.25, 0.5], atol=1e-12)

@@ -50,10 +50,6 @@ class TestParams:
         with pytest.raises(ValueError):
             MatchedDrive(1.0, 1.0, epsilon=-0.1)
 
-    def test_kappa_positive(self):
-        with pytest.raises(ValueError):
-            ReducedParams(1, 1, 1, 1, kappa1=0.0)
-
     def test_zero_drive_rejected(self):
         with pytest.raises(ValueError):
             MatchedDrive(0.0, 0.0)
@@ -80,26 +76,6 @@ class TestJumpOperators:
         r1, r2 = jump_operators(MatchedDrive(2.0, 1.0, 1.0, cross=True).params())
         assert_allclose(r1, np.kron(2 * SIGMA_MINUS + SIGMA_PLUS, I2))
         assert_allclose(r2, np.kron(I2, SIGMA_MINUS + 2 * SIGMA_PLUS))
-
-    def test_kappa_scaling(self):
-        p = ReducedParams(beta_r1=3.0, beta_s1=0.0, beta_r2=0.0, beta_s2=0.0,
-                          kappa1=9.0, kappa2=1.0)
-        r1, _ = jump_operators(p)
-        assert_allclose(r1, np.kron(SIGMA_MINUS, I2))
-
-    def test_matched_generator_holds_no_kappa(self):
-        # beta_i = (a, b) sqrt(kappa_i) leaves R_i = a sigma- + b sigma+, so the
-        # generator at kappa = (4, 9) is the one MatchedDrive.params() builds
-        # at kappa = 1 (a, b are small integers, so every division is exact)
-        a, b, eps = 2.0, 1.0, 0.98
-        p = ReducedParams(beta_r1=2 * a, beta_s1=2 * b, beta_r2=3 * a, beta_s2=3 * b,
-                          kappa1=4.0, kappa2=9.0, epsilon=eps)
-        got = liouvillian_action(p).meta["blocks"]
-        ref = liouvillian_action(MatchedDrive(a, b, eps).params()).meta["blocks"]
-        assert len(got) == len(ref)
-        for x, y in zip(got, ref):
-            for u, v in ((x.indptr, y.indptr), (x.indices, y.indices), (x.data, y.data)):
-                assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
 
 class TestLiouvillianApply:
