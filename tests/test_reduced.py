@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dataclasses import replace
+
+from casqed.cavity import PhysicalParams, reduced_params
 from casqed.dynamics import steady_state_nullspace
 from casqed.errors import DegenerateParams, DimensionMismatch, InvalidParams
 from casqed.linalg import dagger, unvec
@@ -76,6 +79,19 @@ class TestJumpOperators:
         r1, r2 = jump_operators(MatchedDrive(2.0, 1.0, 1.0, cross=True).params())
         assert_allclose(r1, np.kron(2 * SIGMA_MINUS + SIGMA_PLUS, I2))
         assert_allclose(r2, np.kron(I2, SIGMA_MINUS + 2 * SIGMA_PLUS))
+
+    def test_kappa_scaling(self):
+        # the cavity decay enters the jump operators through the bridge
+        # alone: kappa1 -> 4 kappa1 halves R_1 and leaves R_2 as it was
+        base = PhysicalParams.symmetric(
+            g=110, kappa=14.2, gamma=5.2, Delta=8000, Omega_r=200.0, Omega_s=100.0, epsilon=0.98
+        )
+        rp = reduced_params(base)
+        r1, r2 = jump_operators(rp)
+        assert_allclose(r1, np.kron(rp.r1 * SIGMA_MINUS + rp.s1 * SIGMA_PLUS, I2))
+        q1, q2 = jump_operators(reduced_params(replace(base, kappa1=4 * base.kappa1)))
+        assert_allclose(q1, r1 / 2, rtol=1e-14)
+        assert_allclose(q2, r2, rtol=1e-14)
 
 
 class TestLiouvillianApply:
