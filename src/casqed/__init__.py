@@ -30,7 +30,6 @@ from .dynamics import (
     LiouvillianAction,
     Trajectory,
     integrate,
-    steady_state_longtime,
     steady_state_nullspace,
 )
 from .metrics import concurrence, fef_fidelity, purity, vn_entropy
@@ -40,7 +39,7 @@ __all__ = [
     "MatchedDrive", "ReducedParams", "analytic_steady_state", "bell_states", "dark_state",
     "ModelSpace", "PhysicalParams", "derive_params", "stark_balance",
     "LiouvillianAction", "Trajectory", "integrate",
-    "steady_state_longtime", "steady_state_nullspace",
+    "steady_state_nullspace",
     "concurrence", "fef_fidelity", "purity", "vn_entropy",
     "__version__",
 ]

@@ -6,9 +6,11 @@
     casqed steady     --config cfg
     casqed metrics    --dm state.dm
 
-Exit codes: 0 success, 1 runtime/convergence failure (also a run too large
-to allocate), 2 config error (a bad config file, or a ``--dm`` file that is
-not a density matrix).
+Exit codes: 0 success; 1 runtime/convergence failure (a failed sweep point,
+a run too large to allocate, output not written); 2 config error (a bad
+config file, an unusable ``--out``, or a ``--dm`` file that is not a density
+matrix), decided before any point runs and never by a point's place on a
+sweep axis (:func:`casqed.experiments.check_params`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .config import KEYS, load_config
 from .errors import CasqedError, ConfigError
 from .experiments import (
     TIER_TOLS,
-    check_params,
     run_metrics,
     run_steady,
     run_sweep_coop,
@@ -42,6 +43,8 @@ def _keys_help() -> str:
         lines.append(f"{shown:<35}{key.accepts + '  ':<14}{required}{key.help}")
     lines.append("per-tier solver.rel_tol/abs_tol: " + ", ".join(
         f"{tier} {rel:g}/{abs_:g}" for tier, (rel, abs_) in TIER_TOLS.items()))
+    lines += ["", "exit codes: 0 success; 1 a failed point or solve, or output not written; 2 config",
+              "error or unusable --out, decided before any point runs, never by a point's place on an axis"]
     return "\n".join(lines)
 
 
@@ -75,25 +78,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "metrics":
             run_metrics(args.dm)
-            return 0
-        cfg = load_config(args.config)
-        if cfg.experiment is not None and cfg.experiment != args.command:
-            raise ConfigError(
-                f"config declares experiment={cfg.experiment!r}, invoked {args.command!r}",
-                key="experiment",
-            )
-        check_params(cfg)
-        if args.command == "steady":
-            run_steady(cfg)
-            return 0
-        out_dir = Path(args.out)
-        runner = {
-            "evolve": run_timeseries,
-            "sweep-eps": run_sweep_eps,
-            "sweep-coop": run_sweep_coop,
-        }[args.command]
-        path = runner(cfg, out_dir, seed=args.seed, workers=args.workers)
-        print(path)
+        elif args.command == "steady":
+            run_steady(load_config(args.config))
+        else:
+            runner = {
+                "evolve": run_timeseries,
+                "sweep-eps": run_sweep_eps,
+                "sweep-coop": run_sweep_coop,
+            }[args.command]
+            print(runner(load_config(args.config), Path(args.out), seed=args.seed, workers=args.workers))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -105,6 +98,10 @@ def main(argv=None) -> int:
         # a size the config allows but no allocator can hold (time.n_points,
         # model.fock_cutoff): numpy refuses it at once
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # the pre-run check made --out, so this is a CSV, SVG or manifest write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -124,13 +124,6 @@ class ExperimentConfig:
     # sets it, and it goes with that check (ROADMAP item 2)
     ss_tol: float = 1e-8
 
-    def require_physical(self) -> dict:
-        if self.physical is None:
-            raise ConfigError(
-                "cavity tiers need the physical.* block", key="physical.g_2pi_MHz"
-            )
-        return self.physical
-
 
 def _scalar(value):
     """One value as parsed; a comma list is not one."""
@@ -236,6 +229,8 @@ def validate_config(raw: dict, text: str = "") -> ExperimentConfig:
         (physical if in_block else fields)[key.field] = value
     if raw:
         raise ConfigError(f"unknown key {min(raw)!r}", key=min(raw))
+    if len(set(fields["tiers"])) < len(fields["tiers"]):
+        raise ConfigError(f"model.tier lists a tier twice: {', '.join(fields['tiers'])}", key="model.tier")
 
     # the defaults that depend on other keys
     a_over_b, b = fields.pop("a_over_b"), fields["b"]

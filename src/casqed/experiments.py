@@ -13,6 +13,16 @@ Model tiers
 ``effective`` two-level atoms + cavity modes;
 ``full``      five-level atoms + cavity modes + spontaneous emission.
 
+Errors
+------
+Each runner first calls :func:`check_params`, the one place that raises
+:class:`~casqed.errors.ConfigError` (CLI exit 2), and then has the output
+directory.  A config error is a rule that holds at every point of a run
+or at none.  Whatever depends on one point's a/b, epsilon or Y (an
+infeasible balance, an overflowing or degenerate drive, a failed solve)
+fails in that point's own row wherever it sits on its axis: NaN in the
+CSV, ``error`` in the manifest, CLI exit 1.
+
 Every cavity-tier point of ``sweep-eps`` and ``sweep-coop`` takes its
 parameters from :func:`physical_params` (the physical block with a/b,
 epsilon or the cooperativity Y replaced), and the cavity tiers take the
@@ -46,15 +56,11 @@ block.  A degeneracy probe on the even and one on the odd sector run once
 per point, on the generator of the cutoff the escalation accepts, and not
 on the cutoffs it discards.  The trade-off: a degenerate point is flagged
 only at the cutoff it is accepted at, so it escalates before it fails,
-up to ``max_cutoff``.  At fig. 3 parameters, a/b = 1 in the effective
-tier from cutoff 2 fails at cutoff 3 in 0.23 s, against 0.14 s at cutoff
-2 with a probe at every cutoff (medians of 15, one CPU).  A fig. 3
-full-tier point (cutoffs 1 to 3) takes a few seconds.  Time evolution
+up to ``max_cutoff``.  Time evolution
 takes Krylov exponential steps (see :mod:`casqed.dynamics`) at about one
 generator call per radian of the fastest oscillation; in the
 full tier that is the detuning, of order 2 pi x 8 GHz against
-microsecond relaxation.  A 30 us full-tier ``evolve`` at fig. 3
-parameters, cutoff 1, took 3.3 s in one measurement on a 2-core machine.
+microsecond relaxation.
 
 Sweeps with ``--workers N`` send the points (reduced tier: the blocks)
 to the worker processes in chunks, each chunk with the point function
@@ -147,41 +153,52 @@ def _write_csv(path, header, lines) -> None:
         fh.write("\n".join([",".join(header), *lines, "# manifest: manifest.json"]) + "\n")
 
 
-def check_params(cfg: ExperimentConfig) -> None:
-    """Run the models' own parameter checks on the configured point and
-    on every value of the epsilon sweep axis.
-
-    Raises :class:`ConfigError` for values the models reject, and for a
-    cavity tier without the physical block, before any generator is built
-    or sweep point is run.
-    """
+def check_params(cfg: ExperimentConfig, command: str, out_dir=None) -> None:
+    """Raise :class:`ConfigError` where ``cfg`` breaks a rule of ``command``
+    or of the models that holds at every point or at none; then create
+    ``out_dir``, if given (a config error too if that fails)."""
+    tiers = ", ".join(cfg.tiers)
+    if cfg.experiment is not None and cfg.experiment != command:
+        raise ConfigError(f"config declares experiment={cfg.experiment!r}, invoked {command!r}",
+                          key="experiment")
+    if command == "steady" and cfg.tiers != ["reduced"]:
+        raise ConfigError(f"steady solves the reduced tier only, model.tier lists {tiers}", key="model.tier")
+    if command.startswith("sweep") and len(cfg.tiers) != 1:   # the CSV has no tier column
+        raise ConfigError(f"a sweep runs one tier, model.tier lists {tiers}", key="model.tier")
+    if cfg.physical is None and (command == "sweep-coop" or cfg.tiers != ["reduced"]):
+        raise ConfigError(f"{command} of model.tier {tiers} needs the physical.* block",
+                          key="physical.g_2pi_MHz")
+    if command == "sweep-coop" and cfg.physical["gamma"] <= 0:
+        raise ConfigError("sweep-coop needs physical.gamma_2pi_MHz > 0", key="physical.gamma_2pi_MHz")
+    if command == "sweep-coop" and min(cfg.sweep_Y) <= 0:
+        raise ConfigError(f"sweep.Y must be > 0, got {min(cfg.sweep_Y):g}", key="sweep.Y")
     try:
         MatchedDrives(cfg.a, cfg.b, [cfg.epsilon, *cfg.sweep_epsilon], cfg.cross)
-        if cfg.physical is not None or any(t != "reduced" for t in cfg.tiers):
+        if cfg.physical is not None:
+            if command != "evolve" and cfg.tiers == ["reduced"]:
+                # the closed form's drive: the balance changes neither beta nor
+                # kappa, so an infeasible configured a/b cannot hide an unmatched one
+                matched_amplitudes(reduced_params(_unbalanced_params(cfg)))
             physical_params(cfg)
     except InvalidParams as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
     except InfeasibleBalance:
-        pass  # balanced per point; a sweep need not visit the configured a/b
+        pass  # depends on a/b; a sweep need not visit the configured point
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory: {exc}") from exc
 
 
 def _coop_g(phys: dict, Y: float) -> float:
     """g at the cooperativity Y = g^2 / (kappa1 gamma)."""
-    if phys["gamma"] <= 0:
-        raise ConfigError("sweep-coop needs physical.gamma_2pi_MHz > 0", key="physical.gamma_2pi_MHz")
-    if Y <= 0:
-        raise ConfigError(f"sweep.Y must be > 0, got {Y:g}", key="sweep.Y")
     return float(np.sqrt(Y * phys["kappa1"] * phys["gamma"]))
 
 
-def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None, Y=None) -> PhysicalParams:
-    """Balanced physical parameters of one point of the config's physical block.
-
-    ``a_over_b`` and ``epsilon`` replace the block's values.  ``Y`` sets
-    g = sqrt(Y kappa1 gamma) and scales the drives by g_cfg / g, which holds
-    the Raman rates beta = g Omega / (2 Delta) at their configured values.
-    """
-    phys = cfg.require_physical()
+def _unbalanced_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None, Y=None) -> PhysicalParams:
+    """:func:`physical_params` before the light-shift balance."""
+    phys = cfg.physical
     a_over_b = phys["a_over_b"] if a_over_b is None else a_over_b
     epsilon = phys["epsilon"] if epsilon is None else epsilon
     g = phys["g"] if Y is None else _coop_g(phys, Y)
@@ -197,7 +214,17 @@ def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None, Y=None) 
     )
     if phys["kappa2"] != phys["kappa1"]:
         p = replace(p, kappa2=phys["kappa2"])
-    return stark_balance(p, cfg.balance)
+    return p
+
+
+def physical_params(cfg: ExperimentConfig, a_over_b=None, epsilon=None, Y=None) -> PhysicalParams:
+    """Balanced physical parameters of one point of the config's physical block.
+
+    ``a_over_b`` and ``epsilon`` replace the block's values.  ``Y`` sets
+    g = sqrt(Y kappa1 gamma) and scales the drives by g_cfg / g, which holds
+    the Raman rates beta = g Omega / (2 Delta) at their configured values.
+    """
+    return stark_balance(_unbalanced_params(cfg, a_over_b, epsilon, Y), cfg.balance)
 
 
 def _tier_tols(cfg: ExperimentConfig, tier: str):
@@ -220,11 +247,7 @@ class TierModel:
 def _cavity_model(tier: str):
     """(atom levels, generator builder) of a cavity tier; the builders are
     read from the module globals at each call, so rebinding them takes effect."""
-    if tier == "effective":
-        return 2, build_effective_liouvillian
-    if tier == "full":
-        return 5, build_full_liouvillian
-    raise ConfigError(f"unknown tier {tier!r}", key="model.tier")
+    return {"effective": (2, build_effective_liouvillian), "full": (5, build_full_liouvillian)}[tier]
 
 
 def build_tier(cfg: ExperimentConfig, tier: str) -> TierModel:
@@ -233,7 +256,7 @@ def build_tier(cfg: ExperimentConfig, tier: str) -> TierModel:
         if cfg.physical is not None:
             params = reduced_params(physical_params(cfg))
         else:
-            params = _point_model(cfg, tier, {}).params()
+            params = _point_model(cfg, {}).params()
         return TierModel(
             action=liouvillian_action(params),
             rho0=initial_ground_state(),
@@ -295,6 +318,7 @@ def converged_steady_state(p: PhysicalParams, tier: str, cfg: ExperimentConfig,
 
 def run_timeseries(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int = 1):
     """Fidelity-vs-time curves for each configured tier (one CSV + SVG)."""
+    check_params(cfg, "evolve", out_dir)
     t_start = time.perf_counter()
     times = np.linspace(0.0, cfg.t_max_us, cfg.n_points)
     rows = []
@@ -312,7 +336,6 @@ def run_timeseries(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int =
         series.append((tier, list(times), fids))
         points.append({"tier": tier, "converged": True, "n_times": len(times)})
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "timeseries.csv", ("time_us", "tier") + METRIC_COLUMNS, rows)
     line_plot(
         out_dir / "timeseries.svg", series,
@@ -328,15 +351,11 @@ def run_timeseries(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int =
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _point_model(cfg: ExperimentConfig, tier: str, point: dict):
-    """The physical parameters (cavity tiers) or the closed form's drive
-    (reduced tier) of one point of the config; ``point`` holds keyword
-    arguments of :func:`physical_params`, and ``{}`` is the configured point.
-    The drive comes from the bare ``drive.*`` keys, or from the physical
-    block through :func:`~casqed.cavity.reduced_params`, whose amplitudes
-    must be matched (:class:`InvalidParams` otherwise)."""
-    if tier != "reduced":
-        return physical_params(cfg, **point)
+def _point_model(cfg: ExperimentConfig, point: dict) -> MatchedDrive:
+    """The closed form's drive at one point (keyword arguments of
+    :func:`physical_params`; ``{}`` is the configured point): from the bare
+    ``drive.*`` keys, or the matched amplitudes of the physical block's
+    :func:`~casqed.cavity.reduced_params` (:class:`InvalidParams` otherwise)."""
     if cfg.physical is not None:
         params = reduced_params(physical_params(cfg, **point))
         return MatchedDrive(*matched_amplitudes(params), params.epsilon)
@@ -353,7 +372,7 @@ def _steady_point(cfg: ExperimentConfig, tier: str, point: dict):
     steady state, or (nan, error).  The fields are the accepted Fock
     ``cutoff`` and its top-photon population ``top_fock``."""
     try:
-        rho, space, cutoff = converged_steady_state(_point_model(cfg, tier, point), tier, cfg)
+        rho, space, cutoff = converged_steady_state(physical_params(cfg, **point), tier, cfg)
         fields = {"cutoff": cutoff, "top_fock": top_fock_population(rho, space)}
         return float(fef_fidelity(qubit_marginal(rho, space))), None, fields
     except CasqedError as exc:
@@ -375,7 +394,7 @@ def _reduced_block(cfg: ExperimentConfig, points: list) -> list:
     a, b, eps, failed = [], [], [], {}
     for i, point in enumerate(points):
         try:
-            drive = _point_model(cfg, "reduced", point)
+            drive = _point_model(cfg, point)
         except CasqedError as exc:
             failed[i] = _failed(exc)
             continue
@@ -415,18 +434,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
     when a point failed.
     """
     t_start = time.perf_counter()
-    if len(cfg.tiers) != 1:   # the CSV has no tier column
-        raise ConfigError(f"a sweep runs one tier, model.tier lists {', '.join(cfg.tiers)}",
-                          key="model.tier")
     tier, = cfg.tiers
-    # a check that holds at every point or at none (the closed form's
-    # matched drive) fails once, as a config error
-    try:
-        _point_model(cfg, tier, points[0])
-    except InvalidParams as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
-    except InfeasibleBalance:
-        pass  # depends on a/b; the point's own row reports it
     if tier == "reduced":
         blocks = [points[i:i + REDUCED_BLOCK] for i in range(0, len(points), REDUCED_BLOCK)]
         results = [r for block in _run_points(partial(_reduced_block, cfg), blocks, workers) for r in block]
@@ -441,7 +449,6 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
             point["error"] = err
             failed += 1
     fids = [result[0] for result in results]
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / f"{name}.csv", header, [f"{row},{fmt(fid)}" for row, fid in zip(rows, fids)])
     plot(out_dir / f"{name}.svg", fids)
     RunManifest(cfg.sha256, __version__, seed, time.perf_counter() - t_start, points).write(
@@ -454,6 +461,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
 
 def run_sweep_eps(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int = 1):
     """Steady-state fidelity on the (a/b, epsilon) grid."""
+    check_params(cfg, "sweep-eps", out_dir)
     ratios, eps_axis = cfg.sweep_a_over_b, cfg.sweep_epsilon
     points = [{"a_over_b": r, "epsilon": e} for r in ratios for e in eps_axis]
     eps_fields = [fmt(e) for e in eps_axis]
@@ -477,7 +485,8 @@ def run_sweep_coop(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int =
     rates fixed, and the light-shift balance is re-solved per point
     (see :func:`physical_params`).
     """
-    phys = cfg.require_physical()
+    check_params(cfg, "sweep-coop", out_dir)
+    phys = cfg.physical
     points = [{"Y": Y} for Y in cfg.sweep_Y]
     rows = [_csv_line([phys["a_over_b"], phys["epsilon"], Y, _coop_g(phys, Y)]) for Y in cfg.sweep_Y]
 
@@ -513,17 +522,10 @@ def run_steady(cfg: ExperimentConfig, out=print):
     """Print the closed-form and null-space steady states and their distance.
 
     Both are states of the reduced tier at the configured point's drive
-    (:func:`_point_model`), so a config whose ``model.tier`` is anything
-    but ``reduced``, or whose physical block gives an unmatched drive, is a
-    :class:`ConfigError`.
+    (:func:`_point_model`).
     """
-    if list(cfg.tiers) != ["reduced"]:
-        raise ConfigError(f"steady solves the reduced tier only, model.tier lists {', '.join(cfg.tiers)}",
-                          key="model.tier")
-    try:
-        m = _point_model(cfg, "reduced", {})
-    except InvalidParams as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
+    check_params(cfg, "steady")
+    m = _point_model(cfg, {})
     analytic = analytic_steady_state(m)
     numeric = steady_state_nullspace(liouvillian_action(m.params()))
     diff = float(np.linalg.norm(analytic - numeric))

@@ -464,3 +464,85 @@ def test_run_too_large_to_allocate_exits_1_with_one_line(tmp_path, capsys, text,
     assert run(tmp_path, text, command) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: out of memory: ")
+
+
+def _no_point_runs(monkeypatch):
+    for name in ("_run_points", "build_tier", "analytic_steady_state"):
+        monkeypatch.setattr(experiments, name, lambda *a: pytest.fail("a point ran"))
+
+
+# one a/b whose drive overflows, at either end of the axis
+OVERFLOW = {
+    "bare-reduced": REDUCED,
+    "fig3-reduced": FIG3.replace("effective", "reduced"),
+    "fig3-effective": FIG3,
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOW))
+def test_overflowing_point_fails_in_its_row_at_either_end_of_the_axis(tmp_path, capsys, name):
+    rows = {}
+    for ratios in ("1e200,2", "2,1e200"):
+        text = with_key(with_key(OVERFLOW[name], "sweep.a_over_b", ratios), "sweep.epsilon", "0.9")
+        out = tmp_path / ratios
+        out.mkdir()
+        assert run(out, text) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: 1 sweep point(s) failed; see manifest"]
+        rows[ratios] = sorted((out / "out" / "sweep_eps.csv").read_text().splitlines()[1:-1])
+        points = json.loads((out / "out" / "manifest.json").read_text())["points"]
+        bad = [pt for pt in points if not pt["converged"]]
+        assert [pt["a_over_b"] for pt in bad] == [1e200] and bad[0]["error"].startswith("InvalidParams: ")
+    assert rows["1e200,2"] == rows["2,1e200"]
+    assert rows["1e200,2"][0] == "1e+200,0.9,nan"
+
+
+UNMATCHED = with_key(REDUCED_COOP, "physical.kappa2_2pi_MHz", 28.4)
+
+
+@pytest.mark.parametrize("a_over_b", ["2", "0.5"])
+@pytest.mark.parametrize("command, ratios", [
+    ("steady", "2"),
+    ("sweep-eps", "0.5,2"),
+    ("sweep-eps", "2,0.5"),
+    ("sweep-coop", "2"),
+])
+def test_unmatched_block_exits_2_at_any_configured_or_first_ratio(tmp_path, capsys, monkeypatch,
+                                                                   command, ratios, a_over_b):
+    # kappa2 != kappa1 gives no a/b a matched drive; a/b = 0.5 has no
+    # balance, and neither it nor the axis order may hide the unmatched block
+    _no_point_runs(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_key(with_key(UNMATCHED, "sweep.a_over_b", ratios), "physical.a_over_b", a_over_b))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg)] + ([] if command == "steady" else ["--out", str(out)])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and "matched drive" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evolve", REDUCED_EVOLVE),
+    ("sweep-eps", REDUCED),
+    ("sweep-coop", REDUCED_COOP),
+], ids=["evolve", "sweep-eps", "sweep-coop"])
+def test_out_naming_a_file_exits_2_before_any_point(tmp_path, capsys, monkeypatch, command, text):
+    _no_point_runs(monkeypatch)
+    (tmp_path / "out").write_text("a file\n")
+    assert run(tmp_path, text, command) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert (tmp_path / "out").read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("command, text", [("evolve", REDUCED_EVOLVE), ("sweep-eps", REDUCED)],
+                         ids=["evolve", "sweep-eps"])
+def test_failed_write_exits_1_with_one_line(tmp_path, capsys, monkeypatch, command, text):
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(experiments, "_write_csv", disk_full)
+    assert run(tmp_path, text, command) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: cannot write output: [Errno 28] No space left on device"]

@@ -93,6 +93,14 @@ physical.epsilon = 0.98
 """
 
 
+@pytest.mark.parametrize("tiers", ["reduced,reduced", "effective,reduced,effective"])
+def test_a_tier_listed_twice_fails_at_load(tiers):
+    # evolve wrote every row of a repeated tier twice
+    with pytest.raises(ConfigError, match="model.tier lists a tier twice") as info:
+        validate_config(parse_config_text(f"model.tier = {tiers}\n"))
+    assert info.value.key == "model.tier"
+
+
 @pytest.mark.parametrize("value", ["true", "false"])
 def test_cross_drive_conflicts_with_the_physical_block(value):
     # the physical block fixes the drive, and every command that reads it

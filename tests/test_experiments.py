@@ -14,15 +14,17 @@ from casqed.cavity import (
 )
 from casqed.config import parse_config_text, validate_config
 from casqed.dynamics import integrate, steady_state_nullspace
-from casqed.errors import CasqedError, DegenerateSteadyState
+from casqed.errors import CasqedError, ConfigError, DegenerateSteadyState
 from casqed.experiments import (
     REDUCED_BLOCK,
     TIER_TOLS,
     build_tier,
     converged_steady_state,
     physical_params,
+    run_steady,
     run_sweep_coop,
     run_sweep_eps,
+    run_timeseries,
 )
 from casqed.metrics import fef_fidelity
 from casqed.reduced import MatchedDrive, analytic_steady_state
@@ -184,7 +186,7 @@ INFEASIBLE_COOP = FIG3.replace("effective", "reduced").replace("a_over_b = 2", "
 def _alone(cfg, point):
     """(fidelity, error) of one reduced point, each function called on it alone."""
     try:
-        drive = experiments._point_model(cfg, "reduced", point)
+        drive = experiments._point_model(cfg, point)
         return fef_fidelity(analytic_steady_state(drive)), None
     except CasqedError as exc:
         return float("nan"), f"{type(exc).__name__}: {exc}"
@@ -271,3 +273,31 @@ def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
     assert sizes == [4]
     assert experiments._run_points(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
     assert sizes == [4, 2]
+
+
+TWO_TIERS = FIG3.replace("effective", "reduced,effective") + "sweep.Y = 5,50\n"
+OTHER_EXPERIMENT = FIG3.replace("effective", "reduced") + "sweep.Y = 5,50\nexperiment = metrics\n"
+
+
+@pytest.mark.parametrize("runner, text, key", [
+    pytest.param(run_sweep_eps, TWO_TIERS, "model.tier", id="sweep-eps-two-tiers"),
+    pytest.param(run_sweep_coop, TWO_TIERS, "model.tier", id="sweep-coop-two-tiers"),
+    pytest.param(run_steady, TWO_TIERS, "model.tier", id="steady-two-tiers"),
+    pytest.param(run_sweep_eps, OTHER_EXPERIMENT, "experiment", id="sweep-eps-experiment"),
+    pytest.param(run_sweep_coop, OTHER_EXPERIMENT, "experiment", id="sweep-coop-experiment"),
+    pytest.param(run_timeseries, OTHER_EXPERIMENT, "experiment", id="evolve-experiment"),
+    pytest.param(run_steady, OTHER_EXPERIMENT, "experiment", id="steady-experiment"),
+])
+def test_runner_checks_its_config_before_any_point(tmp_path, monkeypatch, runner, text, key):
+    # the Python API gets the pre-run check the CLI gets: no point runs and
+    # no output directory appears
+    for name in ("_run_points", "build_tier", "analytic_steady_state"):
+        monkeypatch.setattr(experiments, name, lambda *a: pytest.fail("a point ran"))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as info:
+        if runner is run_steady:
+            run_steady(config(text), out=lambda line: pytest.fail("steady printed"))
+        else:
+            runner(config(text), out)
+    assert info.value.key == key
+    assert not out.exists()
