@@ -10,7 +10,8 @@ Exit codes: 0 success; 1 runtime/convergence failure (a failed sweep point,
 a run too large to allocate, output not written); 2 config error (a bad
 config file, an unusable ``--out``, or a ``--dm`` file that is not a density
 matrix), decided before any point runs and never by a point's place on a
-sweep axis (:func:`casqed.experiments.check_params`).
+sweep axis, nor by a sweep axis or a ``physical.a_over_b`` that no point of
+the command reads (:func:`casqed.experiments.check_params`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ def _keys_help() -> str:
     lines.append("per-tier solver.rel_tol/abs_tol: " + ", ".join(
         f"{tier} {rel:g}/{abs_:g}" for tier, (rel, abs_) in TIER_TOLS.items()))
     lines += ["", "exit codes: 0 success; 1 a failed point or solve, or output not written; 2 config",
-              "error or unusable --out, decided before any point runs, never by a point's place on an axis"]
+              "error or unusable --out, decided before any point runs, never by a point's place on an axis,",
+              "nor by a sweep axis or a physical.a_over_b that no point of the command reads"]
     return "\n".join(lines)
 
 

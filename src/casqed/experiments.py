@@ -21,7 +21,12 @@ directory.  A config error is a rule that holds at every point of a run
 or at none.  Whatever depends on one point's a/b, epsilon or Y (an
 infeasible balance, an overflowing or degenerate drive, a failed solve)
 fails in that point's own row wherever it sits on its axis: NaN in the
-CSV, ``error`` in the manifest, CLI exit 1.
+CSV, ``error`` in the manifest, CLI exit 1.  A sweep axis is checked only
+by the sweep that reads it.  Every ``sweep-eps`` point replaces the
+physical block's a/b, so ``sweep-eps`` checks the block at a/b = 1 and
+balances no configured a/b.  The configured ``drive.*`` point and
+``physical.epsilon`` are checked by every command, ``sweep-eps`` too,
+though none of its points reads them.
 
 Every cavity-tier point of ``sweep-eps`` and ``sweep-coop`` takes its
 parameters from :func:`physical_params` (the physical block with a/b,
@@ -32,18 +37,15 @@ that cutoff's top-photon population.
 
 The reduced tier takes the closed form in blocks of
 :data:`REDUCED_BLOCK` points, each block one array pass from the grid to
-its fidelities.  The block's a, b and epsilon are arrays
-(:class:`~casqed.reduced.MatchedDrives`, checked elementwise): without
-the physical block, a = (a/b) b and epsilon come straight from the grid;
-with it, each point's drive is its jump amplitudes from the bridge
-:func:`~casqed.cavity.reduced_params` (:func:`_point_model`), and a point
-whose balance or parameters fail gets its own error there.  One
+its fidelities.  The block's drives are one
+:class:`~casqed.reduced.MatchedDrive` of arrays, checked drive by drive:
+without the physical block, a = (a/b) b and epsilon come straight from
+the grid; with it, each point's drive is its jump amplitudes from the
+bridge :func:`~casqed.cavity.reduced_params` (:func:`_point_model`), and
+a point whose balance or parameters fail gets its own error there.  One
 numpy pass of :func:`~casqed.reduced.analytic_steady_state` gives the
-block's states, each bit for bit that of Python-float arithmetic on its
-drive alone: |a|^2 is ``np.hypot`` of the parts, squared, and
-sqrt(eps) conj(a) b is taken as explicit real products in Python's
-order, because ``np.abs`` on complex arrays and numpy's complex product
-round the last bit differently.  One stacked ``fef_fidelity`` gives the
+block's states, each bit for bit that of its drive alone (its docstring
+gives the rules).  One stacked ``fef_fidelity`` gives the
 fidelities.  A block that raises is split in halves until each failing
 point stands alone with its own error.  The sweep formats each axis
 value once, not once per CSV row.  One writer emits CSV, SVG, manifest.
@@ -97,7 +99,6 @@ from .linalg import read_dm
 from .metrics import METRIC_COLUMNS, concurrence, fef_fidelity, output_flux, purity, vn_entropy
 from .reduced import (
     MatchedDrive,
-    MatchedDrives,
     analytic_steady_state,
     initial_ground_state,
     liouvillian_action,
@@ -173,13 +174,20 @@ def check_params(cfg: ExperimentConfig, command: str, out_dir=None) -> None:
     if command == "sweep-coop" and min(cfg.sweep_Y) <= 0:
         raise ConfigError(f"sweep.Y must be > 0, got {min(cfg.sweep_Y):g}", key="sweep.Y")
     try:
-        MatchedDrives(cfg.a, cfg.b, [cfg.epsilon, *cfg.sweep_epsilon], cfg.cross)
+        # the configured drive, and the epsilon axis where the command sweeps it
+        MatchedDrive(cfg.a, cfg.b, [cfg.epsilon, *cfg.sweep_epsilon] if command == "sweep-eps"
+                     else cfg.epsilon, cfg.cross)
         if cfg.physical is not None:
+            # every sweep-eps point replaces the block's a/b, so its block is
+            # checked at a/b = 1, where Omega_r = Omega_s: what overflows there
+            # overflows at every point
+            p = _unbalanced_params(cfg, a_over_b=1.0 if command == "sweep-eps" else None)
             if command != "evolve" and cfg.tiers == ["reduced"]:
                 # the closed form's drive: the balance changes neither beta nor
-                # kappa, so an infeasible configured a/b cannot hide an unmatched one
-                matched_amplitudes(reduced_params(_unbalanced_params(cfg)))
-            physical_params(cfg)
+                # kappa, so an infeasible a/b cannot hide an unmatched one
+                matched_amplitudes(reduced_params(p))
+            if command != "sweep-eps":
+                physical_params(cfg)   # warns where build_tier and the points warn, so once
     except InvalidParams as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
     except InfeasibleBalance:
@@ -414,7 +422,7 @@ def _closed_form(a, b, eps, cross: bool) -> list:
     and gets its own error: O(log n) array passes per failing drive.
     """
     try:
-        states = analytic_steady_state(MatchedDrives(a, b, eps, cross))
+        states = analytic_steady_state(MatchedDrive(a, b, eps, cross))
         return [(fid, None) for fid in fef_fidelity(states).tolist()]
     except CasqedError as exc:
         if len(eps) == 1:

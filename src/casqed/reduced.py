@@ -123,6 +123,12 @@ class MatchedDrive:
     With ``cross=True`` the roles of a and b are swapped on atom 2,
     which steers the steady state toward the psi Bell sector instead of
     the phi sector.
+
+    Scalar fields hold one drive.  Where any argument is an array the
+    fields hold n drives, broadcast to one 1-d length: drive i is
+    (a[i], b[i], epsilon[i], cross[i]).  Construction checks every drive,
+    and the first invalid one raises the error it raises alone.  ``len``
+    is n.
     """
 
     a: complex
@@ -131,11 +137,24 @@ class MatchedDrive:
     cross: bool = False
 
     def __post_init__(self):
-        _check_drives(np.asarray([self.a]), np.asarray([self.b]), np.asarray([self.epsilon]))
+        fields = np.broadcast_arrays(*_arrays(self))
+        _check_drives(*fields[:3])
+        if any(np.ndim(v) for v in (self.a, self.b, self.epsilon, self.cross)):
+            for name, value in zip(("a", "b", "epsilon", "cross"), fields):
+                object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return np.size(self.epsilon)
 
     def params(self) -> ReducedParams:
+        """The jump amplitudes of one drive."""
         r2, s2 = (self.b, self.a) if self.cross else (self.a, self.b)
         return ReducedParams(self.a, self.b, r2, s2, epsilon=self.epsilon)
+
+
+def _arrays(m: MatchedDrive) -> list:
+    """The fields of ``m`` as 1-d arrays: epsilon float, cross bool."""
+    return np.atleast_1d(m.a, m.b, np.asarray(m.epsilon, dtype=float), np.asarray(m.cross, dtype=bool))
 
 
 def matched_amplitudes(p: ReducedParams):
@@ -146,35 +165,6 @@ def matched_amplitudes(p: ReducedParams):
         raise InvalidParams("the closed form needs a matched drive, r_2 = r_1 and s_2 = s_1; "
                             f"got r_1, s_1 = {a:.6g}, {b:.6g} and r_2, s_2 = {p.r2:.6g}, {p.s2:.6g}")
     return a, b
-
-
-class MatchedDrives:
-    """n matched drives as arrays: drive i is
-    ``MatchedDrive(a[i], b[i], epsilon[i], cross[i])``.
-
-    The arguments are broadcast to one 1-d length and checked elementwise
-    on construction; the first invalid drive raises the error its
-    :class:`MatchedDrive` would.  ``len`` is n.
-    """
-
-    def __init__(self, a, b, epsilon, cross=False):
-        a, b, epsilon, cross = np.broadcast_arrays(
-            np.atleast_1d(a), np.atleast_1d(b), np.atleast_1d(np.asarray(epsilon, dtype=float)),
-            np.atleast_1d(np.asarray(cross, dtype=bool)))
-        _check_drives(a, b, epsilon)
-        self.a, self.b, self.epsilon, self.cross = a, b, epsilon, cross
-
-    @classmethod
-    def of(cls, drives) -> "MatchedDrives":
-        """The drives of a sequence of :class:`MatchedDrive`."""
-        drives = list(drives)
-        return cls(np.array([complex(d.a) for d in drives], dtype=complex),
-                   np.array([complex(d.b) for d in drives], dtype=complex),
-                   np.array([d.epsilon for d in drives], dtype=float),
-                   np.array([d.cross for d in drives], dtype=bool))
-
-    def __len__(self) -> int:
-        return len(self.a)
 
 
 def jump_operators(p: ReducedParams):
@@ -197,14 +187,13 @@ def _scaled(re_a, im_a, re_b, im_b):
     return re_a * s, im_a * s, re_b * s, im_b * s
 
 
-def analytic_steady_state(m) -> np.ndarray:
+def analytic_steady_state(m: MatchedDrive) -> np.ndarray:
     """Closed-form steady state of the matched-drive cascaded model.
 
-    ``m`` is one :class:`MatchedDrive`, for which a (4, 4) state is
-    returned, or n drives -- a :class:`MatchedDrives` or a sequence of
-    :class:`MatchedDrive` -- for which an (n, 4, 4) stack is returned with
-    the state of drive i at index i.  One numpy pass over the drive arrays
-    evaluates the formula for every drive; one drive is the case n = 1.
+    A (4, 4) state for one drive in ``m``; for n drives an (n, 4, 4) stack
+    with the state of drive i at index i.  One numpy pass over the drive
+    arrays evaluates the formula for every drive; one drive is the case
+    n = 1.
 
     Returned in the basis {|1 1>, |1 0>, |0 1>, |0 0>}; only the
     populations and the (|1 1>,|0 0>) and (|1 0>,|0 1>) coherences are
@@ -229,18 +218,14 @@ def analytic_steady_state(m) -> np.ndarray:
     which is not correctly rounded.  The power-of-two rescale of drives
     far from 1 is taken with ``np.frexp``, as the reference takes it.
     """
-    if isinstance(m, MatchedDrive):
-        drives = MatchedDrives(m.a, m.b, m.epsilon, m.cross)
-    else:
-        drives = m if isinstance(m, MatchedDrives) else MatchedDrives.of(m)
-    eps = drives.epsilon
+    a, b, eps, cross = _arrays(m)
     # the formula is homogeneous in (a, b): it depends on a/b only
-    ar, ai, br, bi = _scaled(drives.a.real, drives.a.imag, drives.b.real, drives.b.imag)
+    ar, ai, br, bi = _scaled(a.real, a.imag, b.real, b.imag)
     x, y = _abs2(ar, ai), _abs2(br, bi)
     x3, y3 = x * x * x, y * y * y
     se = np.sqrt(eps)
     tr, ti = se * ar, se * -ai          # sqrt(eps) conj(a)
-    ab = np.empty(len(drives), dtype=complex)
+    ab = np.empty(len(eps), dtype=complex)
     ab.real = tr * br - ti * bi         # ... times b
     ab.imag = tr * bi + ti * br
     denom = (x * x + y * y + 2.0 * (1.0 + 2.0 * eps - 4.0 * eps * eps) * x * y) * (x + y)
@@ -248,10 +233,10 @@ def analytic_steady_state(m) -> np.ndarray:
     if degenerate.size:
         i = degenerate[0]
         raise DegenerateParams(
-            f"steady state is degenerate at |a|={np.hypot(drives.a.real[i], drives.a.imag[i]):g}, "
-            f"|b|={np.hypot(drives.b.real[i], drives.b.imag[i]):g}, eps={eps[i]:g}"
+            f"steady state is degenerate at |a|={np.hypot(a.real[i], a.imag[i]):g}, "
+            f"|b|={np.hypot(b.real[i], b.imag[i]):g}, eps={eps[i]:g}"
         )
-    rho = np.zeros((len(drives), 4, 4), dtype=complex)
+    rho = np.zeros((len(eps), 4, 4), dtype=complex)
     rho[:, _IDX_11, _IDX_11] = (y3 + (1 + eps - 4 * eps * eps) * x * y * y + eps * y * x * x) / denom
     rho[:, _IDX_10, _IDX_10] = x * y * (1 - eps) * (x + (1 + 4 * eps) * y) / denom
     rho[:, _IDX_01, _IDX_01] = x * y * (1 - eps) * (y + (1 + 4 * eps) * x) / denom
@@ -262,10 +247,10 @@ def analytic_steady_state(m) -> np.ndarray:
     rho[:, _IDX_00, _IDX_11] = np.conj(r14)
     rho[:, _IDX_10, _IDX_01] = r23
     rho[:, _IDX_01, _IDX_10] = np.conj(r23)
-    if drives.cross.any():
+    if cross.any():
         flip = [_IDX_10, _IDX_11, _IDX_00, _IDX_01]
-        rho[drives.cross] = rho[drives.cross][:, flip][:, :, flip]
-    return rho[0] if isinstance(m, MatchedDrive) else rho
+        rho[cross] = rho[cross][:, flip][:, :, flip]
+    return rho if np.ndim(m.epsilon) else rho[0]
 
 
 def dark_state(a: complex, b: complex) -> np.ndarray:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -520,6 +521,40 @@ def test_unmatched_block_exits_2_at_any_configured_or_first_ratio(tmp_path, caps
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ") and "matched drive" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evolve", REDUCED_EVOLVE),
+    ("steady", "model.tier = reduced\n"),
+    ("sweep-coop", REDUCED_COOP),
+], ids=["evolve", "steady", "sweep-coop"])
+def test_only_sweep_eps_checks_its_epsilon_axis(tmp_path, capsys, command, text):
+    # sweep.epsilon reaches no point of evolve, steady or sweep-coop
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_key(text, "sweep.epsilon", "0.9,1.5"))
+    out = ["--out", str(tmp_path / "out")]
+    assert cli.main([command, "--config", str(cfg)] + ([] if command == "steady" else out)) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(["sweep-eps", "--config", str(cfg)] + out) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: invalid model parameters: epsilon must lie in [0, 1], got 1.5"]
+
+
+@pytest.mark.parametrize("tier", ["reduced", "effective"])
+@pytest.mark.parametrize("a_over_b", ["1e200", "8"])
+def test_sweep_eps_reads_no_configured_ratio(tmp_path, capsys, tier, a_over_b):
+    # every point replaces the block's a/b, so an a/b whose drive overflows,
+    # or whose balance lies outside the large-detuning regime, changes nothing
+    base = FIG3.replace("effective", tier)
+    csv = {}
+    for name, text in (("base", base), ("ratio", with_key(base, "physical.a_over_b", a_over_b))):
+        (tmp_path / name).mkdir()
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            assert run(tmp_path / name, text) == 0
+        assert [str(w.message) for w in rec] == [] and capsys.readouterr().err == ""
+        csv[name] = (tmp_path / name / "out" / "sweep_eps.csv").read_bytes()
+    assert csv["ratio"] == csv["base"]
 
 
 @pytest.mark.parametrize("command, text", [

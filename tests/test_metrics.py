@@ -96,8 +96,8 @@ class TestFefFidelity:
 
     def test_stack_matches_each_state_bit_for_bit(self):
         rng = np.random.default_rng(40)
-        drives = [MatchedDrive(r, 1.0, e, cross=c) for r in (1.3, 2.0, 3.7)
-                  for e in (0.0, 0.8, 1.0) for c in (False, True)]
+        r, e, c = np.meshgrid((1.3, 2.0, 3.7), (0.0, 0.8, 1.0), (False, True), indexing="ij")
+        drives = MatchedDrive(r.ravel(), 1.0, e.ravel(), cross=c.ravel())
         stack = np.concatenate([analytic_steady_state(drives), [rand_state(rng) for _ in range(20)]])
         fids = fef_fidelity(stack)
         assert fids.shape == (len(stack),)
