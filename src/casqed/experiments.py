@@ -41,7 +41,7 @@ its fidelities.  The block's drives are one
 :class:`~casqed.reduced.MatchedDrive` of arrays, checked drive by drive:
 without the physical block, a = (a/b) b and epsilon come straight from
 the grid; with it, each point's drive is its jump amplitudes from the
-bridge :func:`~casqed.cavity.reduced_params` (:func:`_point_model`), and
+bridge :func:`~casqed.params.reduced_params` (:func:`_point_model`), and
 a point whose balance or parameters fail gets its own error there.  One
 numpy pass of :func:`~casqed.reduced.analytic_steady_state` gives the
 block's states, each bit for bit that of its drive alone (its docstring
@@ -67,6 +67,20 @@ microsecond relaxation.
 Sweeps with ``--workers N`` send the points (reduced tier: the blocks)
 to the worker processes in chunks, each chunk with the point function
 and, in it, the config.
+
+Imports
+-------
+The module loads only numpy-only layers at import (:mod:`casqed`): the
+reduced tier's sweeps, ``metrics`` and the CLI's ``--help`` never load
+scipy.  The cavity builders (:mod:`casqed.cavity`) and the integrator and
+solvers (:mod:`casqed.dynamics`) are imported inside the functions that
+use them.  ``evolve``, ``steady`` and the cavity tiers' sweeps import
+them first (:func:`_import_models`), before their clock starts: the
+manifest's ``wall_clock_s``, and so the benchmark's ``points_per_s``, time
+the experiment, not an import of scipy.  They import them before the
+pre-run check, too: an import that adds warning filters clears Python's
+record of the warnings already shown, and a balance warning that the
+check gave would then be shown again by the run.
 """
 
 from __future__ import annotations
@@ -76,27 +90,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .cavity import (
-    ModelSpace,
-    PhysicalParams,
-    build_effective_liouvillian,
-    build_full_liouvillian,
-    output_flux_operator,
-    qubit_marginal,
-    reduced_params,
-    stark_balance,
-    top_fock_population,
-    vacuum_ground_state,
-)
 from .config import ExperimentConfig
-from .dynamics import integrate, steady_state_nullspace
 from .errors import CasqedError, ConfigError, InfeasibleBalance, InvalidDensityMatrix, InvalidParams
 from .linalg import read_dm
 from .metrics import METRIC_COLUMNS, concurrence, fef_fidelity, output_flux, purity, vn_entropy
+from .params import PhysicalParams, reduced_params, stark_balance
 from .reduced import (
     MatchedDrive,
     analytic_steady_state,
@@ -106,6 +109,9 @@ from .reduced import (
     output_flux_operator as reduced_flux_operator,
 )
 from .svgplot import line_plot
+
+if TYPE_CHECKING:
+    from .cavity import ModelSpace
 
 #: default (rel_tol, abs_tol) per tier.  Looser tolerances return matrices
 #: that are not states; at these the samples stay states (see
@@ -249,13 +255,28 @@ class TierModel:
     space: ModelSpace | None
 
     def marginal(self, rho):
-        return rho if self.space is None else qubit_marginal(rho, self.space)
+        if self.space is None:
+            return rho
+        from .cavity import qubit_marginal
+
+        return qubit_marginal(rho, self.space)
+
+
+def _import_models(tiers) -> None:
+    """Import the cavity builders and the solvers under them, which load
+    scipy, where ``tiers`` lists a cavity tier.  Runners call it first,
+    before their pre-run check and their clock (module docstring)."""
+    if set(tiers) != {"reduced"}:
+        from . import cavity  # noqa: F401  (and casqed.dynamics, which it imports)
 
 
 def _cavity_model(tier: str):
     """(atom levels, generator builder) of a cavity tier; the builders are
-    read from the module globals at each call, so rebinding them takes effect."""
-    return {"effective": (2, build_effective_liouvillian), "full": (5, build_full_liouvillian)}[tier]
+    read from :mod:`casqed.cavity` at each call, so rebinding them takes effect."""
+    from . import cavity
+
+    return {"effective": (2, cavity.build_effective_liouvillian),
+            "full": (5, cavity.build_full_liouvillian)}[tier]
 
 
 def build_tier(cfg: ExperimentConfig, tier: str) -> TierModel:
@@ -271,6 +292,8 @@ def build_tier(cfg: ExperimentConfig, tier: str) -> TierModel:
             flux_op=reduced_flux_operator(params),
             space=None,
         )
+    from .cavity import ModelSpace, output_flux_operator, vacuum_ground_state
+
     p = physical_params(cfg)
     levels, builder = _cavity_model(tier)
     space = ModelSpace(levels, cfg.fock_cutoff)
@@ -308,6 +331,9 @@ def converged_steady_state(p: PhysicalParams, tier: str, cfg: ExperimentConfig,
     its top photon state below ``top_tol``.
     Returns (rho, space, cutoff).
     """
+    from .cavity import ModelSpace, top_fock_population
+    from .dynamics import steady_state_nullspace
+
     levels, builder = _cavity_model(tier)
     cutoff = cfg.fock_cutoff
     while True:
@@ -326,6 +352,9 @@ def converged_steady_state(p: PhysicalParams, tier: str, cfg: ExperimentConfig,
 
 def run_timeseries(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int = 1):
     """Fidelity-vs-time curves for each configured tier (one CSV + SVG)."""
+    from .dynamics import integrate   # read at each run, so rebinding it takes effect
+
+    _import_models(cfg.tiers)
     check_params(cfg, "evolve", out_dir)
     t_start = time.perf_counter()
     times = np.linspace(0.0, cfg.t_max_us, cfg.n_points)
@@ -363,7 +392,7 @@ def _point_model(cfg: ExperimentConfig, point: dict) -> MatchedDrive:
     """The closed form's drive at one point (keyword arguments of
     :func:`physical_params`; ``{}`` is the configured point): from the bare
     ``drive.*`` keys, or the matched amplitudes of the physical block's
-    :func:`~casqed.cavity.reduced_params` (:class:`InvalidParams` otherwise)."""
+    :func:`~casqed.params.reduced_params` (:class:`InvalidParams` otherwise)."""
     if cfg.physical is not None:
         params = reduced_params(physical_params(cfg, **point))
         return MatchedDrive(*matched_amplitudes(params), params.epsilon)
@@ -379,6 +408,8 @@ def _steady_point(cfg: ExperimentConfig, tier: str, point: dict):
     """(fidelity, None, manifest fields) of one cavity-tier sweep point's
     steady state, or (nan, error).  The fields are the accepted Fock
     ``cutoff`` and its top-photon population ``top_fock``."""
+    from .cavity import qubit_marginal, top_fock_population
+
     try:
         rho, space, cutoff = converged_steady_state(physical_params(cfg, **point), tier, cfg)
         fields = {"cutoff": cutoff, "top_fock": top_fock_population(rho, space)}
@@ -450,14 +481,19 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
         results = _run_points(partial(_steady_point, cfg, tier), points, workers)
 
     failed = 0
-    for point, (_, err, *fields) in zip(points, results):
+    fids = []
+    for i, point in enumerate(points):
+        result = results[i]
+        fids.append(result[0])
+        err = result[1]
         point["converged"] = err is None
-        point.update(*fields)
         if err:
             point["error"] = err
             failed += 1
-    fids = [result[0] for result in results]
-    _write_csv(out_dir / f"{name}.csv", header, [f"{row},{fmt(fid)}" for row, fid in zip(rows, fids)])
+        elif len(result) > 2:
+            point.update(result[2])
+    # every fidelity is a Python float, whose repr is fmt's text
+    _write_csv(out_dir / f"{name}.csv", header, [f"{row},{fid!r}" for row, fid in zip(rows, fids)])
     plot(out_dir / f"{name}.svg", fids)
     RunManifest(cfg.sha256, __version__, seed, time.perf_counter() - t_start, points).write(
         out_dir / "manifest.json"
@@ -469,6 +505,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir, seed, workers, name, header, poin
 
 def run_sweep_eps(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int = 1):
     """Steady-state fidelity on the (a/b, epsilon) grid."""
+    _import_models(cfg.tiers)
     check_params(cfg, "sweep-eps", out_dir)
     ratios, eps_axis = cfg.sweep_a_over_b, cfg.sweep_epsilon
     points = [{"a_over_b": r, "epsilon": e} for r in ratios for e in eps_axis]
@@ -493,6 +530,7 @@ def run_sweep_coop(cfg: ExperimentConfig, out_dir, seed: int = 0, workers: int =
     rates fixed, and the light-shift balance is re-solved per point
     (see :func:`physical_params`).
     """
+    _import_models(cfg.tiers)
     check_params(cfg, "sweep-coop", out_dir)
     phys = cfg.physical
     points = [{"Y": Y} for Y in cfg.sweep_Y]
@@ -532,6 +570,8 @@ def run_steady(cfg: ExperimentConfig, out=print):
     Both are states of the reduced tier at the configured point's drive
     (:func:`_point_model`).
     """
+    from .dynamics import steady_state_nullspace
+
     check_params(cfg, "steady")
     m = _point_model(cfg, {})
     analytic = analytic_steady_state(m)

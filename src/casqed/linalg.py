@@ -12,16 +12,24 @@ d^2-long vector column by column into a d x d matrix, so that
 ``vec(A @ rho @ B) == kron(B.T, A) @ vec(rho)``.
 
 The hermitian eigensolver is LAPACK's, behind a hermiticity check.
+
+The module needs only numpy, so the reduced tier's closed form and the
+metrics load no scipy (see :mod:`casqed`).  Only :func:`embed_at` builds
+sparse matrices: it imports ``scipy.sparse`` inside, so scipy loads at its
+first call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonHermitianInput
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,8 @@ def embed_at(op, site: int, space: TensorSpace) -> sp.csr_matrix:
     :class:`casqed.cavity.ModelSpace` keeps the lifts of its fixed
     operators, once per space and read-only.
     """
+    import scipy.sparse as sp   # here, not at the top: see the module docstring
+
     op = (op if sp.issparse(op) else sp.csr_matrix(asmatrix(op))).tocsr()
     dims = space.factor_dims
     if not 0 <= site < len(dims):

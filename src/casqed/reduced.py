@@ -19,10 +19,16 @@ with the factor-2 dissipator convention
 
 ``eps`` in [0, 1] is the intensity transmission between the cavities.
 The master equation holds the amplitudes alone: the cavity decay rates
-enter only through them (:func:`casqed.cavity.reduced_params`).
+enter only through them (:func:`casqed.params.reduced_params`).
 
 Basis convention (used everywhere downstream): each qubit is ordered
 (|1>, |0>) and the joint basis is {|1 1>, |1 0>, |0 1>, |0 0>}.
+
+Layering: the module needs only numpy, and the closed form and the drive
+types load no scipy.  The jump operators are lifted by
+:func:`~casqed.linalg.embed_at`, which loads ``scipy.sparse``, and
+:func:`liouvillian_action`, the generator that the solvers take, imports
+:mod:`casqed.dynamics` where it is called (see :mod:`casqed`).
 
 Units: |r_i|^2 and |s_i|^2 are rates, used exactly as given, so the
 time unit is the inverse of the rate unit.  The cavity-model bridge
@@ -34,12 +40,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import LiouvillianAction, liouvillian_from_operators
 from .errors import DegenerateParams, InvalidParams
 from .linalg import TensorSpace, dagger, embed_at
+
+if TYPE_CHECKING:
+    from .dynamics import LiouvillianAction
 
 #: Two-qubit space, each factor ordered (|1>, |0>).
 TWO_QUBITS = TensorSpace((2, 2))
@@ -321,7 +330,13 @@ def liouvillian_action(p: ReducedParams) -> LiouvillianAction:
     with q = -2 sqrt(eps): the terms of the module docstring.  Both
     jumps flip one qubit, so the parity pi_1 pi_2 (- on |1>) is a weak
     symmetry.
+
+    It imports :mod:`casqed.dynamics` (and so scipy) inside: the closed
+    form needs only numpy, and this generator serves only ``evolve``,
+    ``steady`` and the checks against the closed form.
     """
+    from .dynamics import liouvillian_from_operators
+
     r1, r2 = jump_operators(p)
     qubit_parity = np.array([-1.0, 1.0])
     return liouvillian_from_operators(
