@@ -10,8 +10,9 @@ Exit codes: 0 success; 1 runtime/convergence failure (a failed sweep point,
 a run too large to allocate, output not written); 2 config error (a bad
 config file, an unusable ``--out``, or a ``--dm`` file that is not a density
 matrix), decided before any point runs and never by a point's place on a
-sweep axis, nor by a sweep axis or a ``physical.a_over_b`` that no point of
-the command reads (:func:`casqed.experiments.check_params`).
+sweep axis (:func:`casqed.experiments.check_params`).  Exit 2 is never
+decided by a key the command does not read: ``--help`` lists the commands
+that read each key (:data:`casqed.config.KEYS`).
 """
 
 from __future__ import annotations
@@ -35,18 +36,18 @@ from .experiments import (
 def _keys_help() -> str:
     """The config grammar and every key of :data:`casqed.config.KEYS`."""
     lines = ["config file grammar: one `key = value` per line, `#` comments, dotted keys.", "",
-             "keys (= default, accepted values, meaning). A list key takes one or more values.",
-             "A physical block needs its (required) keys and sets the reduced tier's drive:",
-             "every drive.* key next to a physical.* key is an error."]
+             "keys (= default, accepted values, meaning [the commands that read it]). A list key",
+             "takes one or more values. A physical block needs its (required) keys and sets the",
+             "reduced tier's drive: every drive.* key next to a physical.* key is an error."]
     for key in KEYS:
         shown = f"  {key.name}" + ("" if key.default is None else f" = {key.default}")
         required = "(required) " if key.required else ""
-        lines.append(f"{shown:<35}{key.accepts + '  ':<14}{required}{key.help}")
+        lines.append(f"{shown:<35}{key.accepts + '  ':<14}{required}{key.help} [{', '.join(key.read_by)}]")
     lines.append("per-tier solver.rel_tol/abs_tol: " + ", ".join(
         f"{tier} {rel:g}/{abs_:g}" for tier, (rel, abs_) in TIER_TOLS.items()))
     lines += ["", "exit codes: 0 success; 1 a failed point or solve, or output not written; 2 config",
-              "error or unusable --out, decided before any point runs, never by a point's place on an axis,",
-              "nor by a sweep axis or a physical.a_over_b that no point of the command reads"]
+              "error or unusable --out, decided before any point runs, never by a point's place on an axis",
+              "and never by a key the command does not read"]
     return "\n".join(lines)
 
 

@@ -8,8 +8,10 @@ expressions ``lo:hi:step`` (inclusive of both ends up to rounding) and
 ``log:lo:hi:n`` for log-spaced grids; anything else stays a string.
 
 :data:`KEYS` holds one entry per key: its field, default, cast, accepted
-values and help line.  :func:`validate_config` reads every key through
-it, and ``casqed --help`` prints it.
+values, help line and the commands that read it.  :func:`validate_config`
+reads every key through it, :func:`casqed.experiments.check_params` checks
+the values of the keys a command reads (:func:`keys_read_by`), and
+``casqed --help`` prints it.
 """
 
 from __future__ import annotations
@@ -147,8 +149,13 @@ _CHECKS = {
 }
 
 
+#: the commands that read a config file
+COMMANDS = ("evolve", "sweep-eps", "sweep-coop", "steady")
+
+
 class Key(NamedTuple):
-    """One config key: where it goes, its default and what it accepts."""
+    """One config key: where it goes, its default, what it accepts and
+    which commands read it."""
 
     name: str
     field: str              # ExperimentConfig field; physical.*: key of the physical dict
@@ -157,6 +164,7 @@ class Key(NamedTuple):
     accepts: str            # a _CHECKS name, or the accepted strings joined by " | "
     help: str
     required: bool = False  # physical.*: needed whenever the physical block is given
+    read_by: tuple = COMMANDS
 
     def read(self, value):
         """``value`` cast and checked; raises ConfigError naming the key."""
@@ -179,28 +187,48 @@ KEYS = (
         "evolve accepts a comma list"),
     Key("model.balance", "balance", "compensated", _scalar, "compensated | raman_resonant",
         "light-shift balance"),
-    Key("model.fock_cutoff", "fock_cutoff", "2", _integral, "integer >= 1", "photon states 0..cutoff per mode"),
-    Key("drive.a", "a", None, complex, "finite", "default drive.a_over_b * drive.b, else 2 * drive.b"),
-    Key("drive.b", "b", "1", complex, "finite", "matched Raman amplitudes a, b (reduced tier)"),
-    Key("drive.a_over_b", "a_over_b", None, complex, "finite", "sets drive.a = a_over_b * drive.b"),
-    Key("drive.epsilon", "epsilon", "1", float, "finite", "cavity coupling efficiency (reduced tier)"),
-    Key("drive.cross", "cross", "false", _scalar, "true | false", "swap a, b on atom 2 (psi sector)"),
+    Key("model.fock_cutoff", "fock_cutoff", "2", _integral, "integer >= 1", "photon states 0..cutoff per mode",
+        read_by=("evolve", "sweep-eps", "sweep-coop")),
+    # a sweep-eps point takes a = (a/b) b and epsilon from its axes
+    Key("drive.a", "a", None, complex, "finite", "default drive.a_over_b * drive.b, else 2 * drive.b",
+        read_by=("evolve", "steady")),
+    Key("drive.b", "b", "1", complex, "finite", "matched Raman amplitudes a, b (reduced tier)",
+        read_by=("evolve", "sweep-eps", "steady")),
+    Key("drive.a_over_b", "a_over_b", None, complex, "finite", "sets drive.a = a_over_b * drive.b",
+        read_by=("evolve", "steady")),
+    Key("drive.epsilon", "epsilon", "1", float, "finite", "cavity coupling efficiency (reduced tier)",
+        read_by=("evolve", "steady")),
+    Key("drive.cross", "cross", "false", _scalar, "true | false", "swap a, b on atom 2 (psi sector)",
+        read_by=("evolve", "sweep-eps", "steady")),
     Key("physical.g_2pi_MHz", "g", None, float, "finite", "atom-cavity coupling", True),
     Key("physical.kappa1_2pi_MHz", "kappa1", None, float, "finite", "cavity 1 decay", True),
     Key("physical.kappa2_2pi_MHz", "kappa2", None, float, "finite", "cavity 2 decay; default kappa1"),
     Key("physical.gamma_2pi_MHz", "gamma", None, float, "finite", "spontaneous emission", True),
     Key("physical.Delta_2pi_MHz", "Delta", None, float, "finite", "Raman detuning", True),
     Key("physical.Omega_s_2pi_MHz", "Omega_s", None, float, "finite", "Omega_r = a_over_b Omega_s", True),
-    Key("physical.a_over_b", "a_over_b", None, float, "finite", "drive ratio", True),
-    Key("physical.epsilon", "epsilon", None, float, "finite", "cavity coupling efficiency", True),
-    Key("time.t_max_us", "t_max_us", "10", float, "finite > 0", "evolve: end time"),
-    Key("time.n_points", "n_points", "101", _integral, "integer >= 2", "evolve: samples"),
-    Key("solver.rel_tol", "rel_tol", None, float, "finite > 0", "evolve tolerance; default per tier"),
-    Key("solver.abs_tol", "abs_tol", None, float, "finite > 0", "evolve tolerance; default per tier"),
-    Key("sweep.a_over_b", "sweep_a_over_b", "1.1:4.0:0.1", _list(float), "finite", "sweep-eps axis"),
-    Key("sweep.epsilon", "sweep_epsilon", "0.7:1.0:0.01", _list(float), "finite", "sweep-eps axis"),
-    Key("sweep.Y", "sweep_Y", "log:1:300:30", _list(float), "finite", "sweep-coop axis"),
+    # a sweep-eps point replaces both with its axes' values
+    Key("physical.a_over_b", "a_over_b", None, float, "finite", "drive ratio", True,
+        read_by=("evolve", "sweep-coop", "steady")),
+    Key("physical.epsilon", "epsilon", None, float, "finite", "cavity coupling efficiency", True,
+        read_by=("evolve", "sweep-coop", "steady")),
+    Key("time.t_max_us", "t_max_us", "10", float, "finite > 0", "end time", read_by=("evolve",)),
+    Key("time.n_points", "n_points", "101", _integral, "integer >= 2", "samples", read_by=("evolve",)),
+    Key("solver.rel_tol", "rel_tol", None, float, "finite > 0", "relative tolerance; default per tier",
+        read_by=("evolve",)),
+    Key("solver.abs_tol", "abs_tol", None, float, "finite > 0", "absolute tolerance; default per tier",
+        read_by=("evolve",)),
+    Key("sweep.a_over_b", "sweep_a_over_b", "1.1:4.0:0.1", _list(float), "finite", "a/b axis",
+        read_by=("sweep-eps",)),
+    Key("sweep.epsilon", "sweep_epsilon", "0.7:1.0:0.01", _list(float), "finite", "epsilon axis",
+        read_by=("sweep-eps",)),
+    Key("sweep.Y", "sweep_Y", "log:1:300:30", _list(float), "finite", "cooperativity axis",
+        read_by=("sweep-coop",)),
 )
+
+
+def keys_read_by(command: str) -> frozenset:
+    """The names of the keys ``command`` reads."""
+    return frozenset(key.name for key in KEYS if command in key.read_by)
 
 
 def validate_config(raw: dict, text: str = "") -> ExperimentConfig:

@@ -21,12 +21,12 @@ directory.  A config error is a rule that holds at every point of a run
 or at none.  Whatever depends on one point's a/b, epsilon or Y (an
 infeasible balance, an overflowing or degenerate drive, a failed solve)
 fails in that point's own row wherever it sits on its axis: NaN in the
-CSV, ``error`` in the manifest, CLI exit 1.  A sweep axis is checked only
-by the sweep that reads it.  Every ``sweep-eps`` point replaces the
-physical block's a/b, so ``sweep-eps`` checks the block at a/b = 1 and
-balances no configured a/b.  The configured ``drive.*`` point and
-``physical.epsilon`` are checked by every command, ``sweep-eps`` too,
-though none of its points reads them.
+CSV, ``error`` in the manifest, CLI exit 1.  A key is checked only by the
+commands that read it (:func:`~casqed.config.keys_read_by`), so exit 2 is
+never decided by a key the command does not read.  Every ``sweep-eps``
+point replaces a/b and epsilon, so ``sweep-eps`` checks the drive at
+a = b and the physical block at a/b = 1, at each epsilon of its axis, and
+balances no configured a/b.
 
 Every cavity-tier point of ``sweep-eps`` and ``sweep-coop`` takes its
 parameters from :func:`physical_params` (the physical block with a/b,
@@ -66,7 +66,7 @@ microsecond relaxation.
 
 Sweeps with ``--workers N`` send the points (reduced tier: the blocks)
 to the worker processes in chunks, each chunk with the point function
-and, in it, the config.
+and, in it, the config.  The process pool's module loads only then.
 
 Imports
 -------
@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING
@@ -95,7 +95,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, keys_read_by
 from .errors import CasqedError, ConfigError, InfeasibleBalance, InvalidDensityMatrix, InvalidParams
 from .linalg import read_dm
 from .metrics import METRIC_COLUMNS, concurrence, fef_fidelity, output_flux, purity, vn_entropy
@@ -163,41 +163,46 @@ def _write_csv(path, header, lines) -> None:
 def check_params(cfg: ExperimentConfig, command: str, out_dir=None) -> None:
     """Raise :class:`ConfigError` where ``cfg`` breaks a rule of ``command``
     or of the models that holds at every point or at none; then create
-    ``out_dir``, if given (a config error too if that fails)."""
-    tiers = ", ".join(cfg.tiers)
+    ``out_dir``, if given (a config error too if that fails).
+
+    The models' checks see only the values of the keys ``command`` reads
+    (:func:`~casqed.config.keys_read_by`).  Where its points take a/b and
+    epsilon from the axes, the drive is checked at a = b and the physical
+    block at a/b = 1, where Omega_r = Omega_s: what overflows there
+    overflows at every point; both at each epsilon of the axis.
+    """
+    reads, tiers = keys_read_by(command), ", ".join(cfg.tiers)
     if cfg.experiment is not None and cfg.experiment != command:
-        raise ConfigError(f"config declares experiment={cfg.experiment!r}, invoked {command!r}",
-                          key="experiment")
+        raise ConfigError(f"config declares experiment={cfg.experiment!r}, invoked {command!r}", key="experiment")
     if command == "steady" and cfg.tiers != ["reduced"]:
         raise ConfigError(f"steady solves the reduced tier only, model.tier lists {tiers}", key="model.tier")
     if command.startswith("sweep") and len(cfg.tiers) != 1:   # the CSV has no tier column
         raise ConfigError(f"a sweep runs one tier, model.tier lists {tiers}", key="model.tier")
-    if cfg.physical is None and (command == "sweep-coop" or cfg.tiers != ["reduced"]):
+    # a cavity tier needs the physical block, and so does g = sqrt(Y kappa1 gamma), with gamma, Y > 0
+    if cfg.physical is None and ("sweep.Y" in reads or cfg.tiers != ["reduced"]):
         raise ConfigError(f"{command} of model.tier {tiers} needs the physical.* block",
                           key="physical.g_2pi_MHz")
-    if command == "sweep-coop" and cfg.physical["gamma"] <= 0:
-        raise ConfigError("sweep-coop needs physical.gamma_2pi_MHz > 0", key="physical.gamma_2pi_MHz")
-    if command == "sweep-coop" and min(cfg.sweep_Y) <= 0:
+    if "sweep.Y" in reads and cfg.physical["gamma"] <= 0:
+        raise ConfigError(f"{command} needs physical.gamma_2pi_MHz > 0", key="physical.gamma_2pi_MHz")
+    if "sweep.Y" in reads and min(cfg.sweep_Y) <= 0:
         raise ConfigError(f"sweep.Y must be > 0, got {min(cfg.sweep_Y):g}", key="sweep.Y")
+    eps_axis = cfg.sweep_epsilon if "sweep.epsilon" in reads else None
     try:
-        # the configured drive, and the epsilon axis where the command sweeps it
-        MatchedDrive(cfg.a, cfg.b, [cfg.epsilon, *cfg.sweep_epsilon] if command == "sweep-eps"
-                     else cfg.epsilon, cfg.cross)
+        MatchedDrive(cfg.a if "drive.a" in reads else cfg.b, cfg.b, eps_axis or cfg.epsilon, cfg.cross)
         if cfg.physical is not None:
-            # every sweep-eps point replaces the block's a/b, so its block is
-            # checked at a/b = 1, where Omega_r = Omega_s: what overflows there
-            # overflows at every point
-            p = _unbalanced_params(cfg, a_over_b=1.0 if command == "sweep-eps" else None)
-            if command != "evolve" and cfg.tiers == ["reduced"]:
-                # the closed form's drive: the balance changes neither beta nor
-                # kappa, so an infeasible a/b cannot hide an unmatched one
-                matched_amplitudes(reduced_params(p))
-            if command != "sweep-eps":
-                physical_params(cfg)   # warns where build_tier and the points warn, so once
+            for epsilon in eps_axis or [None]:
+                p = _unbalanced_params(cfg, None if "physical.a_over_b" in reads else 1.0, epsilon)
+                if command != "evolve" and cfg.tiers == ["reduced"]:
+                    # the closed form's drive: the balance changes neither beta nor
+                    # kappa, so an infeasible a/b cannot hide an unmatched one
+                    matched_amplitudes(reduced_params(p))
+            if "physical.a_over_b" in reads:
+                # warns where build_tier and the points warn, so once; an infeasible
+                # balance fails the configured point only, which a sweep need not visit
+                with suppress(InfeasibleBalance):
+                    physical_params(cfg)
     except InvalidParams as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
-    except InfeasibleBalance:
-        pass  # depends on a/b; a sweep need not visit the configured point
     if out_dir is not None:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -555,6 +560,8 @@ def _run_points(fn, tasks, workers: int):
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))

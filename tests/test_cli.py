@@ -70,14 +70,13 @@ def test_bad_value_fails_at_load(tmp_path, text):
         load_config(cfg)
 
 
-@pytest.mark.parametrize("text", [
+# configs that sweep-eps rejects
+BAD_SWEEP_EPS = [
     pytest.param(with_key(FIG3, "physical.Delta_2pi_MHz", 0), id="zero-detuning"),
     pytest.param(with_key(FIG3, "physical.kappa1_2pi_MHz", -1), id="negative-kappa"),
     pytest.param(with_key(FIG3, "physical.g_2pi_MHz", "abc"), id="non-numeric"),
     pytest.param(with_key(FIG3, "physical.gamma_2pi_MHz", None), id="missing-key"),
     pytest.param(with_key(REDUCED, "drive.b", 0), id="zero-drive"),
-    pytest.param(with_key(REDUCED, "drive.epsilon", 1.5), id="epsilon-range"),
-    pytest.param(with_key(FIG3, "physical.epsilon", -0.1), id="physical-epsilon-range"),
     pytest.param(with_key(REDUCED, "sweep.epsilon", "0.9,1.5"), id="sweep-epsilon-range"),
     pytest.param(REDUCED.replace("reduced", "effective"), id="cavity-tier-without-physical"),
     pytest.param(with_key(REDUCED_COOP, "physical.kappa2_2pi_MHz", 28.4), id="unmatched-closed-form"),
@@ -115,9 +114,17 @@ def test_bad_value_fails_at_load(tmp_path, text):
     pytest.param(with_key(REDUCED, "drive.b", "1e200"), id="huge-drive"),
     pytest.param(with_key(FIG3, "physical.g_2pi_MHz", "1e200"), id="huge-coupling"),
     pytest.param(with_key(FIG3, "physical.Omega_s_2pi_MHz", "1e200"), id="huge-Omega_s"),
+]
+
+
+@pytest.mark.parametrize("command, text", [
+    *[pytest.param("sweep-eps", *case.values, id=case.id) for case in BAD_SWEEP_EPS],
+    # keys that no sweep-eps point reads, through a command that reads them
+    pytest.param("evolve", with_key(REDUCED, "drive.epsilon", 1.5), id="epsilon-range"),
+    pytest.param("evolve", with_key(FIG3, "physical.epsilon", -0.1), id="physical-epsilon-range"),
 ])
-def test_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
-    assert run(tmp_path, text) == 2
+def test_bad_config_exits_2_with_one_line(tmp_path, capsys, command, text):
+    assert run(tmp_path, text, command) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
 
@@ -540,21 +547,38 @@ def test_only_sweep_eps_checks_its_epsilon_axis(tmp_path, capsys, command, text)
         "config error: invalid model parameters: epsilon must lie in [0, 1], got 1.5"]
 
 
-@pytest.mark.parametrize("tier", ["reduced", "effective"])
-@pytest.mark.parametrize("a_over_b", ["1e200", "8"])
-def test_sweep_eps_reads_no_configured_ratio(tmp_path, capsys, tier, a_over_b):
-    # every point replaces the block's a/b, so an a/b whose drive overflows,
-    # or whose balance lies outside the large-detuning regime, changes nothing
-    base = FIG3.replace("effective", tier)
+EPSILON_RANGE = "config error: invalid model parameters: epsilon must lie in [0, 1], got 1.5"
+
+
+@pytest.mark.parametrize("base, key, value, readers, message", [
+    *[pytest.param(FIG3.replace("effective", tier), "physical.a_over_b", a_over_b, (), None,
+                   id=f"{a_over_b}-{tier}") for a_over_b in ("1e200", "8") for tier in ("reduced", "effective")],
+    pytest.param(REDUCED, "drive.a", "1e200", ("evolve", "steady"),
+                 "config error: invalid model parameters: a = 1e+200+0j: its squared modulus is not a finite float",
+                 id="drive.a"),
+    pytest.param(REDUCED, "drive.epsilon", "1.5", ("evolve", "steady"), EPSILON_RANGE, id="drive.epsilon"),
+    pytest.param(FIG3.replace("effective", "reduced"), "physical.epsilon", "1.5",
+                 ("evolve", "sweep-coop", "steady"), EPSILON_RANGE, id="physical.epsilon"),
+])
+def test_sweep_eps_reads_no_configured_ratio(tmp_path, capsys, base, key, value, readers, message):
+    # every point replaces a/b and epsilon (without the physical block: the
+    # drive's a and epsilon), so a configured value whose drive overflows,
+    # whose balance lies outside the large-detuning regime or which lies out
+    # of range changes nothing; each command that reads it exits 2 on it
     csv = {}
-    for name, text in (("base", base), ("ratio", with_key(base, "physical.a_over_b", a_over_b))):
+    for name, text in (("base", base), ("key", with_key(base, key, value))):
         (tmp_path / name).mkdir()
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             assert run(tmp_path / name, text) == 0
         assert [str(w.message) for w in rec] == [] and capsys.readouterr().err == ""
         csv[name] = (tmp_path / name / "out" / "sweep_eps.csv").read_bytes()
-    assert csv["ratio"] == csv["base"]
+    assert csv["key"] == csv["base"]
+    for command in readers:
+        out = ["--out", str(tmp_path / command)]
+        cfg = str(tmp_path / "key" / "run.cfg")
+        assert cli.main([command, "--config", cfg] + ([] if command == "steady" else out)) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
 
 @pytest.mark.parametrize("command, text", [

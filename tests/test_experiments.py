@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -268,7 +269,7 @@ def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     assert experiments._run_points(abs, [-1, -2, -3, -4], 64) == [1, 2, 3, 4]
     assert sizes == [4]
     assert experiments._run_points(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]

@@ -110,6 +110,12 @@ def test_import_loads_no_scipy(tmp_path, module):
     assert child(tmp_path, "import", module)["scipy"] == []
 
 
+def test_cli_import_loads_no_process_pool():
+    # only a sweep with --workers > 1 starts a pool
+    code = "import casqed.cli, sys; assert 'concurrent.futures' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=child_env(), check=True, timeout=120)
+
+
 def test_a_module_loads_on_first_access():
     # as when the package imported every layer: casqed.<module> after import casqed
     code = "import casqed, sys; assert casqed.dynamics is sys.modules['casqed.dynamics']"
