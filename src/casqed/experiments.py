@@ -25,8 +25,8 @@ CSV, ``error`` in the manifest, CLI exit 1.  A key is checked only by the
 commands that read it (:func:`~casqed.config.keys_read_by`), so exit 2 is
 never decided by a key the command does not read.  Every ``sweep-eps``
 point replaces a/b and epsilon, so ``sweep-eps`` checks the drive at
-a = b and the physical block at a/b = 1, at each epsilon of its axis, and
-balances no configured a/b.
+a = b at each epsilon of its axis and the physical block once, at a/b = 1
+and the axis's first epsilon, and balances no configured a/b.
 
 Every cavity-tier point of ``sweep-eps`` and ``sweep-coop`` takes its
 parameters from :func:`physical_params` (the physical block with a/b,
@@ -46,7 +46,10 @@ a point whose balance or parameters fail gets its own error there.  One
 numpy pass of :func:`~casqed.reduced.analytic_steady_state` gives the
 block's states, each bit for bit that of its drive alone (its docstring
 gives the rules).  One stacked ``fef_fidelity`` gives the
-fidelities.  A block that raises is split in halves until each failing
+fidelities: every closed-form state is an X-state, so the gate and the
+fully entangled fraction take their closed forms over the two parity
+pairs (:mod:`casqed.metrics`), elementwise over the block, with no
+eigensolver.  A block that raises is split in halves until each failing
 point stands alone with its own error.  The sweep formats each axis
 value once, not once per CSV row.  One writer emits CSV, SVG, manifest.
 
@@ -169,7 +172,9 @@ def check_params(cfg: ExperimentConfig, command: str, out_dir=None) -> None:
     (:func:`~casqed.config.keys_read_by`).  Where its points take a/b and
     epsilon from the axes, the drive is checked at a = b and the physical
     block at a/b = 1, where Omega_r = Omega_s: what overflows there
-    overflows at every point; both at each epsilon of the axis.
+    overflows at every point.  Epsilon enters the block only through its
+    range, which the drive check covers at each epsilon of the axis, so the
+    block is built once, at the axis's first epsilon.
     """
     reads, tiers = keys_read_by(command), ", ".join(cfg.tiers)
     if cfg.experiment is not None and cfg.experiment != command:
@@ -190,12 +195,12 @@ def check_params(cfg: ExperimentConfig, command: str, out_dir=None) -> None:
     try:
         MatchedDrive(cfg.a if "drive.a" in reads else cfg.b, cfg.b, eps_axis or cfg.epsilon, cfg.cross)
         if cfg.physical is not None:
-            for epsilon in eps_axis or [None]:
-                p = _unbalanced_params(cfg, None if "physical.a_over_b" in reads else 1.0, epsilon)
-                if command != "evolve" and cfg.tiers == ["reduced"]:
-                    # the closed form's drive: the balance changes neither beta nor
-                    # kappa, so an infeasible a/b cannot hide an unmatched one
-                    matched_amplitudes(reduced_params(p))
+            p = _unbalanced_params(cfg, None if "physical.a_over_b" in reads else 1.0,
+                                   eps_axis[0] if eps_axis else None)
+            if command != "evolve" and cfg.tiers == ["reduced"]:
+                # the closed form's drive: the balance changes neither beta nor
+                # kappa, so an infeasible a/b cannot hide an unmatched one
+                matched_amplitudes(reduced_params(p))
             if "physical.a_over_b" in reads:
                 # warns where build_tier and the points warn, so once; an infeasible
                 # balance fails the configured point only, which a sweep need not visit

@@ -13,7 +13,10 @@ with what is here:
   ``expm`` references;
 * :func:`analytic_reference` -- the closed-form steady state taken drive
   by drive in Python floats, the bit reference of the array pass
-  :func:`casqed.reduced.analytic_steady_state`.
+  :func:`casqed.reduced.analytic_steady_state`;
+* :data:`OFF_X` -- the entries of a two-qubit matrix off its diagonal and
+  anti-diagonal, which are exactly 0 where :mod:`casqed.metrics` takes
+  its X-state closed forms.
 
 If an oracle and the package ever disagree beyond tolerance, trust the
 oracle and investigate; do not patch either one.
@@ -29,6 +32,9 @@ from casqed.errors import DegenerateParams, DimensionMismatch
 from casqed.linalg import asmatrix, dagger, hermitian_eigen
 from casqed.metrics import _validated
 from casqed.reduced import ReducedParams, jump_operators, liouvillian_action
+
+#: mask of the 4 x 4 entries off the diagonal and the anti-diagonal
+OFF_X = ~np.eye(4, dtype=bool) & ~np.eye(4, dtype=bool)[::-1]
 
 # ---------------------------------------------------------------------------
 # fully entangled fraction by sampling

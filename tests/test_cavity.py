@@ -46,6 +46,7 @@ from casqed.config import parse_config_text, validate_config
 from casqed.linalg import dagger, embed_at
 from casqed.metrics import fef_fidelity
 from casqed.reduced import MatchedDrive, analytic_steady_state, liouvillian_action
+from oracles import OFF_X
 
 
 def fig3_like(a_over_b=2.0, epsilon=0.98, gamma=5.2, g=110.0, kappa=14.2,
@@ -694,6 +695,13 @@ class TestEffectiveModel:
         assert abs(fef_fidelity(marg) - fef_fidelity(ref)) <= 0.01
         assert np.abs(marg - ref).max() <= 0.02
 
+    def test_fig3_marginal_is_an_x_state(self):
+        # the steady state is even under the parity, so its qubit marginal
+        # takes the X-state closed forms of metrics
+        space = ModelSpace(2, 2)
+        rho = steady_state_nullspace(build_effective_liouvillian(fig3_like(), space))
+        assert np.count_nonzero(qubit_marginal(rho, space)[OFF_X]) == 0
+
     def test_elimination_error_shrinks_with_kappa(self):
         ref = fef_fidelity(analytic_steady_state(MatchedDrive(2.0, 1.0, 0.98)))
         errs = []
@@ -1008,6 +1016,17 @@ class TestFullModel:
         for rho, vec in zip(traj.states, exact):
             assert np.linalg.norm(rho - vec.reshape(rho.shape, order="F")) <= 1e-6
             assert np.linalg.eigvalsh(rho).min() >= -1e-8
+
+    def test_samples_have_x_state_marginals(self):
+        # the vacuum ground state is even under the parity, and so is every
+        # sample of its trajectory
+        space = ModelSpace(5, 1)
+        act = build_full_liouvillian(fig3_like(), space)
+        rel_tol, abs_tol = experiments.TIER_TOLS["full"]
+        traj = integrate(act, vacuum_ground_state(space), np.linspace(0.0, 0.02, 3),
+                         rel_tol=rel_tol, abs_tol=abs_tol)
+        for rho in traj.states:
+            assert np.count_nonzero(qubit_marginal(rho, space)[OFF_X]) == 0
 
     def test_wrong_space_rejected(self):
         p = scaled_params()

@@ -276,6 +276,20 @@ def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
     assert sizes == [4, 2]
 
 
+@pytest.mark.parametrize("tier", ["reduced", "effective"])
+def test_sweep_eps_builds_the_physical_block_once(monkeypatch, tier):
+    # epsilon enters the block through its range alone, which the drive
+    # check covers at each epsilon of the axis: one block, at a/b = 1 and the
+    # axis's first epsilon, however long the axis
+    calls = []
+    build = experiments._unbalanced_params
+    monkeypatch.setattr(experiments, "_unbalanced_params", lambda *args: calls.append(args[1:]) or build(*args))
+    cfg = config(FIG3.replace("effective", tier) + "sweep.a_over_b = 1.5,2\nsweep.epsilon = 0.7:1.0:0.002\n")
+    assert len(cfg.sweep_epsilon) == 151
+    experiments.check_params(cfg, "sweep-eps")
+    assert calls == [(1.0, 0.7)]
+
+
 TWO_TIERS = FIG3.replace("effective", "reduced,effective") + "sweep.Y = 5,50\n"
 OTHER_EXPERIMENT = FIG3.replace("effective", "reduced") + "sweep.Y = 5,50\nexperiment = metrics\n"
 

@@ -23,7 +23,7 @@ from casqed.reduced import (
     liouvillian_action,
     output_flux_operator,
 )
-from oracles import analytic_reference, liouvillian_apply, liouvillian_matrix, vec_stack
+from oracles import OFF_X, analytic_reference, liouvillian_apply, liouvillian_matrix, vec_stack
 
 I2 = np.eye(2, dtype=complex)
 
@@ -256,6 +256,14 @@ class TestArrayPassBits:
         a, b, eps = random_drives(rng, 3000)
         flags = rng.random(3000) < 0.5 if cross == "mixed" else np.full(3000, cross)
         self.assert_same_bits([MatchedDrive(*d) for d in zip(a, b, eps, flags)])
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_off_x_entries_are_exactly_zero(self, cross):
+        # metrics takes its X-state closed forms only where they are
+        rng = np.random.default_rng(1902)
+        a, b, eps = random_drives(rng, 3000)
+        stack = analytic_steady_state(MatchedDrive(a, b, eps, cross=cross))
+        assert np.count_nonzero(stack[:, OFF_X]) == 0
 
     def test_real_drive_arrays(self):
         # the physical block hands the pass float arrays
